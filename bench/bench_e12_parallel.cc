@@ -2,7 +2,8 @@
 //
 // E12: parallel query throughput versus worker count. The E2 workload
 // (size-bound k decomposition over the standard distributions) is run
-// through exec/QueryExecutor at 1, 2, 4 and 8 workers, in two regimes:
+// through exec/QueryExecutor (DB::NewExecutor on an in-memory zdb::DB)
+// at 1, 2, 4 and 8 workers, in two regimes:
 //
 //   * warm — the pool holds the whole index, so the batch is pure CPU
 //     (filter + refine, no page transfers). This column scales only
@@ -66,16 +67,14 @@ void RunDistribution(Distribution dist, size_t n) {
   SpatialIndexOptions opt;
   opt.data = DecomposeOptions::SizeBound(4);
 
-  // Warm environment: pool big enough for the whole index.
-  Env warm_env = MakeEnv(kBenchPageSize, 8192);
+  // Warm DB: cache big enough for the whole index.
   BuildResult br;
-  auto warm_index = BuildZIndex(&warm_env, data, opt, &br).value();
-  for (const auto& w : warm_windows) (void)warm_index->WindowQuery(w).value();
+  auto warm_db = BuildZDB(data, opt, 8192, &br).value();
+  for (const auto& w : warm_windows) (void)warm_db->Window(w).value();
 
-  // I/O-bound environment: small pool, simulated device read latency.
-  Env io_env = MakeEnv(kBenchPageSize, kIoPoolPages);
-  auto io_index = BuildZIndex(&io_env, data, opt).value();
-  io_env.pager->set_simulated_read_latency_us(kReadLatencyUs);
+  // I/O-bound DB: small cache, simulated device read latency.
+  auto io_db = BuildZDB(data, opt, kIoPoolPages).value();
+  io_db->set_simulated_read_latency_us(kReadLatencyUs);
 
   Table table(
       "E12 parallel window throughput — " + DistributionName(dist) + " (" +
@@ -89,19 +88,19 @@ void RunDistribution(Distribution dist, size_t n) {
 
   double warm_base = 0.0, io_base = 0.0, big_base = 0.0;
   for (size_t threads : kThreadCounts) {
-    QueryExecutor warm_exec(warm_index.get(), threads);
+    auto warm_exec = warm_db->NewExecutor(threads);
     const double warm_s = BestSeconds(
-        [&] { (void)warm_exec.WindowBatch(warm_windows).value(); });
+        [&] { (void)warm_exec->WindowBatch(warm_windows).value(); });
     const double warm_qps = kWarmQueries / warm_s;
 
-    QueryExecutor io_exec(io_index.get(), threads);
+    auto io_exec = io_db->NewExecutor(threads);
     const double io_s =
-        BestSeconds([&] { (void)io_exec.WindowBatch(io_windows).value(); });
+        BestSeconds([&] { (void)io_exec->WindowBatch(io_windows).value(); });
     const double io_qps = kIoQueries / io_s;
-    const WorkerStats totals = io_exec.stats().Totals();
+    const WorkerStats totals = io_exec->stats().Totals();
 
     const double big_s = BestSeconds(
-        [&] { (void)io_exec.ParallelWindowQuery(big_window).value(); });
+        [&] { (void)io_exec->ParallelWindowQuery(big_window).value(); });
     const double big_ms = 1000.0 * big_s;
 
     if (threads == 1) {

@@ -1,7 +1,7 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
 // E13: mixed read/write throughput. A single writer applies batched
-// inserts + erases through SpatialIndex::ApplyBatch while the executor's
+// inserts + erases through the DB's router while the executor's
 // worker pool answers window, point and kNN queries — the
 // QueryExecutor::MixedWorkload mode. Because mutations take the index
 // latch exclusively, writer sections serialize with readers; the
@@ -115,21 +115,19 @@ Regime RunRegime(const std::vector<Rect>& data,
 
   Regime out;
   {
-    Env env = MakeEnv(kBenchPageSize, pool_pages);
-    auto index = BuildZIndex(&env, data, opt).value();
-    if (io_bound) env.pager->set_simulated_read_latency_us(kReadLatencyUs);
-    QueryExecutor exec(index.get(), threads);
+    auto db = BuildZDB(data, opt, pool_pages).value();
+    if (io_bound) db->set_simulated_read_latency_us(kReadLatencyUs);
+    auto exec = db->NewExecutor(threads);
     const auto ro = ReadOnly(rounds);
-    const double s = SecondsOf([&] { (void)exec.MixedWorkload(ro).value(); });
+    const double s = SecondsOf([&] { (void)exec->MixedWorkload(ro).value(); });
     out.read_qps = kRounds * kQueriesPerRound / s;
   }
   {
-    Env env = MakeEnv(kBenchPageSize, pool_pages);
-    auto index = BuildZIndex(&env, data, opt).value();
-    if (io_bound) env.pager->set_simulated_read_latency_us(kReadLatencyUs);
-    QueryExecutor exec(index.get(), threads);
+    auto db = BuildZDB(data, opt, pool_pages).value();
+    if (io_bound) db->set_simulated_read_latency_us(kReadLatencyUs);
+    auto exec = db->NewExecutor(threads);
     const double s =
-        SecondsOf([&] { (void)exec.MixedWorkload(rounds).value(); });
+        SecondsOf([&] { (void)exec->MixedWorkload(rounds).value(); });
     out.mixed_qps = kRounds * kQueriesPerRound / s;
     out.write_ops = kWriteOps / s;
   }

@@ -47,6 +47,34 @@ Result<std::unique_ptr<SpatialIndex>> BuildZIndex(
   return index;
 }
 
+Result<std::unique_ptr<DB>> BuildZDB(const std::vector<Rect>& data,
+                                     const SpatialIndexOptions& options,
+                                     size_t cache_pages, BuildResult* build) {
+  DBOptions opt;
+  opt.index = options;
+  opt.page_size = kBenchPageSize;
+  opt.cache_pages = cache_pages;
+  opt.snapshot_reads = false;
+  std::unique_ptr<DB> db;
+  ZDB_ASSIGN_OR_RETURN(db, DB::Open("", opt));
+  const IoStats snap = db->io_stats();
+  for (const Rect& r : data) {
+    ZDB_RETURN_IF_ERROR(db->Insert(r).status());
+  }
+  ZDB_RETURN_IF_ERROR(db->Checkpoint());
+  if (build != nullptr) {
+    const IoStats d = db->io_stats().Since(snap);
+    build->avg_insert_accesses =
+        data.empty() ? 0.0
+                     : static_cast<double>(d.accesses()) / data.size();
+    build->pages = db->Stats().pages;
+    build->height = db->index()->btree()->height();
+    build->redundancy = db->build_stats().redundancy();
+    build->avg_error = db->build_stats().avg_error();
+  }
+  return db;
+}
+
 Result<std::unique_ptr<RTree>> BuildRTree(Env* env,
                                           const std::vector<Rect>& data,
                                           const RTreeOptions& options,

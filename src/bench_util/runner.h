@@ -19,6 +19,7 @@
 #include "storage/pager.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
+#include "zdb/db.h"
 
 namespace zdb {
 
@@ -69,6 +70,16 @@ Result<std::unique_ptr<SpatialIndex>> OpenZIndex(Env* env, PageId master);
 Result<std::unique_ptr<SpatialIndex>> BuildZIndex(
     Env* env, const std::vector<Rect>& data,
     const SpatialIndexOptions& options, BuildResult* build = nullptr);
+
+/// Opens an in-memory zdb::DB (no journal, latched reads,
+/// kBenchPageSize pages, a `cache_pages`-frame cache) and inserts `data`
+/// one object at a time (ids 0..n-1), measuring insertion I/O like
+/// BuildZIndex. The executor and server experiments (E12–E14) build
+/// through this, so they measure the stack users actually open.
+Result<std::unique_ptr<DB>> BuildZDB(const std::vector<Rect>& data,
+                                     const SpatialIndexOptions& options,
+                                     size_t cache_pages,
+                                     BuildResult* build = nullptr);
 
 /// Builds an R-tree over `data` (ids 0..n-1), measuring insertion I/O.
 Result<std::unique_ptr<RTree>> BuildRTree(Env* env,

@@ -13,19 +13,24 @@
 namespace zdb {
 
 Status SpatialIndex::BulkLoad(const std::vector<Rect>& data, double fill,
-                              const std::vector<ObjectId>* oids) {
+                              const std::vector<ObjectId>* oids,
+                              PublishPoint* published) {
   MutexLock commit(commit_mu_);
   WriterSection lock(this);
   if (btree_->size() != 0 || store_->size() != 0) {
     return Status::InvalidArgument("bulk load into non-empty index");
   }
-  if (oids != nullptr && oids->size() != data.size()) {
-    return Status::InvalidArgument("bulk load oids/data size mismatch");
+  if (oids != nullptr) {
+    for (ObjectId oid : *oids) {
+      if (oid >= data.size()) {
+        return Status::InvalidArgument("bulk load oid outside the data");
+      }
+    }
   }
   bool mutated = false;
   Status st = BulkLoadLocked(data, fill, oids, &mutated);
   if (st.ok()) {
-    PublishWrite();
+    PublishWrite(published);
     NotifyPublished();
   } else if (gc_active_ && mutated) {
     // A failure after the first store append may have left a partial
@@ -46,11 +51,12 @@ Status SpatialIndex::BulkLoadLocked(const std::vector<Rect>& data,
     std::string key;
     std::string value;
   };
+  const size_t count = oids == nullptr ? data.size() : oids->size();
   std::vector<Entry> entries;
-  entries.reserve(data.size() * 2);
+  entries.reserve(count * 2);
 
-  for (size_t n = 0; n < data.size(); ++n) {
-    const Rect& mbr = data[n];
+  for (size_t n = 0; n < count; ++n) {
+    const Rect& mbr = oids == nullptr ? data[n] : data[(*oids)[n]];
     if (!mbr.valid()) return Status::InvalidArgument("invalid MBR");
     *mutated = true;
     ObjectId oid;

@@ -244,6 +244,10 @@ Status SpatialIndex::CommitGroup() {
 }
 
 Status SpatialIndex::RollbackGroupLocked(const Status& cause) {
+  // Counted before any reader can observe the reloaded state, so an
+  // observer that brackets a query with rollback_count() (the shard
+  // router's epoch does) sees the count move with the state.
+  rollbacks_.fetch_add(1, std::memory_order_release);
   // Invalidate the rolled-back epochs *before* reloading: once the
   // reload's quiesce barrier drops, a pinned reader must not be able to
   // open a snapshot at an epoch whose published state was just reloaded

@@ -52,6 +52,9 @@ SpatialIndex::NearestNeighbors(const Point& p, size_t k, QueryStats* stats,
 Result<std::vector<std::pair<ObjectId, double>>>
 SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
                                      QueryStats* stats, uint32_t* rounds) {
+  // A non-finite point would never be covered by any window, so the
+  // expanding search below would not terminate.
+  ZDB_RETURN_IF_ERROR(CheckQueryPoint(p));
   // Pinned reads must size the search off the pinned object count, not
   // the live counter a concurrent writer is mutating.
   const uint64_t live_objects = EffectiveLiveObjects();

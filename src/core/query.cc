@@ -196,9 +196,7 @@ Result<std::vector<ObjectId>> SpatialIndex::CollectCandidatesFiltered(
 }
 
 Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
+  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   WindowPlan plan = BuildWindowPlan(mapper_.ToGrid(window));
   plan.window = window;
   return plan;

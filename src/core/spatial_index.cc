@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <unordered_set>
 #include <vector>
 
@@ -12,6 +13,20 @@
 #include "zorder/zkey.h"
 
 namespace zdb {
+
+Status CheckQueryWindow(const Rect& window) {
+  if (!window.valid()) {
+    return Status::InvalidArgument("invalid query window");
+  }
+  return Status::OK();
+}
+
+Status CheckQueryPoint(const Point& p) {
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+    return Status::InvalidArgument("non-finite query point");
+  }
+  return Status::OK();
+}
 
 #ifndef NDEBUG
 namespace internal {
@@ -146,12 +161,13 @@ Result<ObjectId> SpatialIndex::Insert(const Rect& mbr, uint32_t payload) {
 }
 
 Result<ObjectId> SpatialIndex::InsertPolygon(const Polygon& poly,
-                                             ObjectId preassigned) {
+                                             ObjectId preassigned,
+                                             PublishPoint* published) {
   MutexLock commit(commit_mu_);
   WriterSection lock(this);
   auto r = InsertPolygonLocked(poly, preassigned);
   if (r.ok()) {
-    PublishWrite();
+    PublishWrite(published);
     NotifyPublished();
   } else if (gc_active_ && !PrevalidatedFailure(r.status())) {
     ZDB_RETURN_IF_ERROR(RollbackGroupLocked(r.status()));
@@ -173,7 +189,7 @@ Status SpatialIndex::Erase(ObjectId oid) {
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
-    const WriteBatch& batch, Durability durability) {
+    const WriteBatch& batch, Durability durability, PublishPoint* published) {
   MutexLock commit(commit_mu_);
   WriterSection lock(this);
   // Predictable failures (invalid MBRs, unknown/dead/duplicate erases)
@@ -202,7 +218,7 @@ Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
       // batches with this cause).
       return RollbackGroupLocked(st);
     }
-    PublishWrite();
+    PublishWrite(published);
     const uint64_t epoch = write_epoch();
     NotifyPublished();
     lock.Unlock();
@@ -220,7 +236,7 @@ Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
   const bool journal = pager->journaled() && !pager->in_batch();
   if (!journal) {
     ZDB_RETURN_IF_ERROR(ApplyOpsLocked(batch, &inserted));
-    PublishWrite();
+    PublishWrite(published);
     return inserted;
   }
 
@@ -273,7 +289,7 @@ Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
     }
     return st;
   }
-  PublishWrite();
+  PublishWrite(published);
   return inserted;
 }
 
@@ -510,9 +526,7 @@ Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQueryLocked(
     const Rect& window, QueryStats* stats) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
+  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   const GridRect qgrid = mapper_.ToGrid(window);
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return mbr.Intersects(window);
@@ -539,6 +553,7 @@ Result<std::vector<ObjectId>> SpatialIndex::PointQuery(const Point& p,
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQueryLocked(
     const Point& p, QueryStats* stats) {
+  ZDB_RETURN_IF_ERROR(CheckQueryPoint(p));
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return mbr.Contains(p);
   };
@@ -573,9 +588,7 @@ Result<std::vector<ObjectId>> SpatialIndex::ContainmentQuery(
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryLocked(
     const Rect& window, QueryStats* stats) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
+  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   const GridRect qgrid = mapper_.ToGrid(window);
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return window.Contains(mbr);
@@ -606,9 +619,7 @@ Result<std::vector<ObjectId>> SpatialIndex::EnclosureQuery(
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryLocked(
     const Rect& window, QueryStats* stats) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
+  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   const GridRect qgrid = mapper_.ToGrid(window);
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return mbr.Contains(window);

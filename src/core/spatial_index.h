@@ -67,6 +67,13 @@
 
 namespace zdb {
 
+/// The typed rejections every query entry point shares (engine,
+/// scatter-gather, executor), so each path fails with the same
+/// InvalidArgument text: an inverted or NaN window, and a point with a
+/// non-finite coordinate (which has no grid cell).
+[[nodiscard]] Status CheckQueryWindow(const Rect& window);
+[[nodiscard]] Status CheckQueryPoint(const Point& p);
+
 /// Filter-stage plan of one window query: the ancestor probes and
 /// z-interval scans the filter will run. Work items are indexed
 /// [0, probes.size()) for probes, then [probes.size(), work_items()) for
@@ -110,6 +117,15 @@ struct WriteOp {
 enum class Durability : uint8_t {
   kDurable = 0,
   kPublished = 1,
+};
+
+/// Where a successful mutation published, read inside its writer
+/// section: the write epoch it created and how many group rollbacks the
+/// index had run before it. A caller that reads write_epoch() after the
+/// call returns can instead see a later rollback's epoch.
+struct PublishPoint {
+  uint64_t epoch = 0;
+  uint64_t rollbacks = 0;
 };
 
 /// An ordered batch of inserts and erases applied atomically by
@@ -222,7 +238,8 @@ class SpatialIndex {
   /// polygon). `preassigned` stores the ring under a caller-chosen oid
   /// (shard replication); leave defaulted otherwise.
   Result<ObjectId> InsertPolygon(const Polygon& poly,
-                                 ObjectId preassigned = kNoPreassignedOid);
+                                 ObjectId preassigned = kNoPreassignedOid,
+                                 PublishPoint* published = nullptr);
 
   /// Removes an object: deletes all its index entries and tombstones the
   /// object record.
@@ -232,11 +249,13 @@ class SpatialIndex {
   /// the object store, all (element, oid) entries are generated and
   /// sorted, and the B+-tree is built bottom-up at `fill` leaf
   /// occupancy. Far cheaper than n inserts and yields a denser tree.
-  /// `oids`, when non-null, must parallel `data` and assigns each
-  /// rectangle its global object id (shard engines load a routed subset
-  /// of a global data set); ids must be unique but may be sparse.
+  /// `oids`, when non-null, selects the rectangles to load: data[oid]
+  /// is loaded under object id `oid` for each oid in the list (a shard
+  /// engine loads its routed subset of a global data set without a
+  /// copy); ids must be unique and below data.size() but may be sparse.
   Status BulkLoad(const std::vector<Rect>& data, double fill = 0.9,
-                  const std::vector<ObjectId>* oids = nullptr);
+                  const std::vector<ObjectId>* oids = nullptr,
+                  PublishPoint* published = nullptr);
 
   /// Applies `batch` as one writer section: concurrent readers see either
   /// the full pre-batch or the full post-batch state, never a partially
@@ -276,8 +295,12 @@ class SpatialIndex {
   /// batch) such a failure can leave a partially applied batch in
   /// memory — the caller's outer rollback (crash or reopen) is then the
   /// recovery path.
+  ///
+  /// `published`, when non-null, receives the batch's PublishPoint (left
+  /// untouched for a batch that validates empty or fails).
   Result<std::vector<ObjectId>> ApplyBatch(
-      const WriteBatch& batch, Durability durability = Durability::kDurable);
+      const WriteBatch& batch, Durability durability = Durability::kDurable,
+      PublishPoint* published = nullptr);
 
   // ------------------------------------------------------- group commit
   //
@@ -317,6 +340,13 @@ class SpatialIndex {
   /// expires (TimedOut). Returns Unavailable if the pipeline stops
   /// before the epoch becomes durable. Group-commit mode only.
   Status WaitDurable(uint64_t epoch, uint64_t timeout_ms = 0);
+
+  /// Group rollbacks run so far. Each one reloads the last durable state
+  /// and publishes it as a fresh epoch; the counter is bumped before
+  /// that state becomes visible to readers.
+  uint64_t rollback_count() const {
+    return rollbacks_.load(std::memory_order_acquire);
+  }
 
   /// Test hook: pauses/resumes the durability thread. While paused,
   /// published batches accumulate in the armed journal batch and
@@ -623,14 +653,17 @@ class SpatialIndex {
   /// writer section, while still holding the exclusive latch. With
   /// snapshots enabled, first records the post-batch SnapshotMeta under
   /// the new epoch — readers that pin the bumped epoch immediately
-  /// afterwards must already find its meta.
-  void PublishWrite() REQUIRES(latch_) {
+  /// afterwards must already find its meta. Reports the new epoch to a
+  /// non-null `published`.
+  void PublishWrite(PublishPoint* published = nullptr) REQUIRES(latch_) {
+    const uint64_t epoch = write_epoch_.load(std::memory_order_relaxed) + 1;
     if (snapshots_on_.load(std::memory_order_relaxed)) {
-      epoch_mgr_->RecordMeta(
-          write_epoch_.load(std::memory_order_relaxed) + 1,
-          CaptureMetaLocked());
+      epoch_mgr_->RecordMeta(epoch, CaptureMetaLocked());
     }
-    write_epoch_.fetch_add(1, std::memory_order_release);
+    write_epoch_.store(epoch, std::memory_order_release);
+    if (published != nullptr) {
+      *published = {epoch, rollbacks_.load(std::memory_order_relaxed)};
+    }
   }
 
   // ----------------------------- snapshot reads (core/snapshot_read.cc)
@@ -863,6 +896,9 @@ class SpatialIndex {
   mutable CondVar gate_cv_;
   mutable uint32_t writers_waiting_ GUARDED_BY(gate_mu_) = 0;
   std::atomic<uint64_t> write_epoch_{0};
+  /// Group rollbacks run; bumped under commit_mu_ and the exclusive
+  /// latch (see rollback_count()).
+  std::atomic<uint64_t> rollbacks_{0};
 
   /// Pin accounting, per-epoch snapshot metas and the version GC
   /// thread. Set once by EnableSnapshots() (never reseated); the

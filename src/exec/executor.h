@@ -1,41 +1,46 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// Parallel query execution over a SpatialIndex. A QueryExecutor owns a
-// fixed pool of worker threads and offers two modes:
+// Parallel query execution over the shard engines behind one zdb::DB.
+// DB::NewExecutor builds a QueryExecutor from the DB's ShardRouter; a
+// single-shard DB is just the one-shard case of every path below. The
+// executor owns a fixed pool of worker threads and offers three modes:
 //
 //   * batch execution — a vector of independent window/point/kNN queries
-//     is spread over the workers, results in input order;
-//   * intra-query parallelism — ParallelWindowQuery() splits one large
-//     window query's z-interval work list (ancestor probes + interval
-//     scans) across the workers, each worker deduplicating its own
-//     candidate slice, then merges, globally deduplicates, and refines
-//     the candidate chunks in parallel.
-//
+//     is spread over the workers, each one scatter-gathered across its
+//     overlapping shards exactly as zdb::DB would run it (shard/scatter.h);
+//     results in input order;
+//   * intra-query parallelism — ParallelWindowQuery() pins (or latches)
+//     every shard the window overlaps, flattens every (shard, slice) of
+//     their z-interval work lists into ONE pool job, so the workers
+//     parallelize across shards before slicing within them, then
+//     deduplicates candidates globally by oid (an object replicated into
+//     several shards is refined only in the shard that surfaced it
+//     first — replicas carry identical exact geometry) and refines the
+//     per-shard candidate chunks in a second flattened job;
 //   * mixed workload — MixedWorkload() runs rounds of write batches on a
-//     dedicated writer thread (each batch applied atomically through
-//     SpatialIndex::ApplyBatch) while the rounds' window/point/kNN query
-//     batches run on the worker pool. Every query's result is recorded
-//     together with the index write epoch observed before and after it,
-//     so a harness can cross-check each concurrent answer against a
-//     brute-force oracle at some single write-batch boundary.
+//     dedicated writer thread, each batch applied atomically through the
+//     router, while the rounds' window/point/kNN query batches run on
+//     the worker pool. Every query's result is recorded together with
+//     the router epochs bracketing it (write_epoch() before,
+//     announced_epoch() after), so a harness can cross-check each
+//     concurrent answer against a brute-force oracle at some single
+//     write-batch boundary. One-shard DBs only: across shards a batch
+//     is not visible atomically, so the bracket would not hold.
 //
-// Queries and mutations synchronize through the index's internal
-// reader/writer latch, so batches may run while a writer is active; a
-// query observes either all or none of any write batch.
-//
-// Snapshot migration boundary: when the index has snapshot reads
-// enabled (SpatialIndex::EnableSnapshots), the executor stops latching.
-// Batch queries delegate to the public index queries, which auto-pin
-// per query; ParallelWindowQuery pins ONE epoch up front and every
-// worker installs its own SnapshotReadScope under that shared pin, so
-// all plan hooks (PlanWindow/ExecuteWindowPlanSlice/
-// RefineWindowCandidates) observe the same committed epoch — the
-// latch-era contract "one ReaderSection across all hook calls" maps to
-// "one EpochPin across all hook calls, one scope per worker thread".
-// The hooks themselves stay NO_THREAD_SAFETY_ANALYSIS: what protects
-// them is the pinned epoch's immutability, which tests/snapshot_test.cc
-// (SnapshotStress.PlanHooksCannotObserveTornEpoch) verifies cannot
-// observe a torn epoch under writer churn.
+// Reads and writes synchronize inside each engine, never in the
+// executor. With snapshot reads on (DBOptions::snapshot_reads, the
+// default) a query pins the engine's committed epoch and runs
+// latch-free; ParallelWindowQuery pins ONE epoch per participating
+// shard and every worker installs its own SnapshotReadScope under that
+// pin, so all plan hooks (PlanWindow/ExecuteWindowPlanSlice/
+// RefineWindowCandidates) observe the same committed state of a shard.
+// The hooks stay NO_THREAD_SAFETY_ANALYSIS: what protects them is the
+// pinned epoch's immutability, which tests/snapshot_test.cc
+// (SnapshotStress.PlanHooksCannotObserveTornEpoch) verifies under
+// writer churn. With snapshot reads off, the calling thread holds one
+// reader section per shard across all hook calls instead, and the
+// workers run only the unlatched hooks. A group-commit rollback that invalidates a
+// pinned epoch (Aborted) re-pins and retries the whole query.
 //
 // Per-worker counters (pages pinned, pool hit rate, candidates,
 // refinements) are collected racelessly: each worker owns its WorkerStats
@@ -44,25 +49,11 @@
 // aggregate is read only after the batch completes (completion is a
 // synchronizing event, so no locks are needed on the counters).
 //
-// Sharded mode: the multi-index constructor drives the N shard engines
-// of a sharded zdb::DB (DB::NewExecutor wires it). Batch queries
-// scatter-gather each query across its overlapping shards (queries
-// parallelize across the pool as before); ParallelWindowQuery
-// parallelizes ACROSS shards before slicing WITHIN them — the
-// overlapping shards' plans are built under one pin (or reader latch)
-// per shard, every (shard, slice) work item goes into a single pool
-// job, candidates are deduplicated globally by oid (an object
-// replicated into several shards is refined only in the shard that
-// surfaced it first — replicas carry identical exact geometry), and
-// refinement chunks again mix all shards in one job. MixedWorkload
-// requires a single-shard executor (writes go through the router, which
-// the executor deliberately does not own).
-//
 // Example:
-//   QueryExecutor exec(index.get(), 4);
-//   auto results = exec.WindowBatch(windows).value();   // one per window
-//   auto hits = exec.ParallelWindowQuery(big_window).value();
-//   ExecStats stats = exec.stats();  // per-worker + aggregate counters
+//   auto exec = db->NewExecutor(4);
+//   auto results = exec->WindowBatch(windows).value();  // one per window
+//   auto hits = exec->ParallelWindowQuery(big_window).value();
+//   ExecStats stats = exec->stats();  // per-worker + aggregate counters
 
 #ifndef ZDB_EXEC_EXECUTOR_H_
 #define ZDB_EXEC_EXECUTOR_H_
@@ -79,7 +70,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/spatial_index.h"
-#include "shard/routing.h"
+#include "shard/router.h"
 
 namespace zdb {
 
@@ -126,10 +117,10 @@ struct MixedRound {
   size_t knn_k = 0;  ///< k for the kNN queries (0 = none even if points)
 };
 
-/// Results of one mixed round. Each query's result comes with the write
-/// epochs loaded immediately before and after it ran: the answer is
-/// guaranteed to equal the single-state answer at exactly one epoch in
-/// that window (atomic batch visibility).
+/// Results of one mixed round. Each query's result comes with the router
+/// epochs bracketing it (published before, announced after): the answer
+/// is guaranteed to equal the single-state answer at exactly one epoch
+/// in that window (atomic batch visibility).
 struct MixedRoundResult {
   std::vector<ObjectId> inserted;  ///< oids of the round's inserts
   std::vector<std::vector<ObjectId>> window_results;
@@ -140,21 +131,16 @@ struct MixedRoundResult {
   std::vector<std::pair<uint64_t, uint64_t>> knn_epochs;
 };
 
-/// Fixed worker pool running queries against one SpatialIndex.
-/// Thread-compatible: one thread drives the executor; the workers run
-/// the queries. Mutating the index while a batch is in flight is safe —
-/// the index latch serializes writers against in-flight queries — but
+/// Fixed worker pool running queries against the shard engines of one
+/// ShardRouter. Thread-compatible: one thread drives the executor; the
+/// workers run the queries. Writing through the DB while a batch is in
+/// flight is safe — each engine isolates its readers from writers — but
 /// stats()/ResetStats() must only be called while no batch is running.
 class QueryExecutor {
  public:
+  /// Drives `router`'s engines (borrowed; DB::NewExecutor wires it).
   /// `threads` >= 1 worker threads are started immediately.
-  QueryExecutor(SpatialIndex* index, size_t threads);
-
-  /// Sharded mode: drives `indexes` (one per shard engine, borrowed)
-  /// with scatter-gather routing through `routing`. `indexes.size()`
-  /// must equal `routing.shards()`.
-  QueryExecutor(std::vector<SpatialIndex*> indexes,
-                shard::ShardRouting routing, size_t threads);
+  QueryExecutor(shard::ShardRouter* router, size_t threads);
 
   ~QueryExecutor();
 
@@ -162,11 +148,10 @@ class QueryExecutor {
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
   size_t threads() const { return workers_.size(); }
-  SpatialIndex* index() const { return index_; }
 
   /// True when this executor scatter-gathers over several shard engines.
-  bool sharded() const { return indexes_.size() > 1; }
-  size_t shards() const { return indexes_.size(); }
+  bool sharded() const { return shards() > 1; }
+  size_t shards() const { return router_->shards(); }
 
   /// Runs every window query concurrently; results in input order.
   Result<std::vector<std::vector<ObjectId>>> WindowBatch(
@@ -180,22 +165,22 @@ class QueryExecutor {
   Result<std::vector<std::vector<std::pair<ObjectId, double>>>> NearestBatch(
       const std::vector<Point>& points, size_t k);
 
-  /// One window query parallelized internally: the plan's probe/scan work
-  /// items are split across the workers (per-worker dedup), candidates
-  /// are merged and globally deduplicated, and refinement runs in
-  /// parallel over candidate chunks. Returns exactly what
-  /// SpatialIndex::WindowQuery would (sorted by object id).
+  /// One window query parallelized internally: the plans' probe/scan
+  /// work items of every overlapping shard are split across the workers
+  /// (per-slice dedup), candidates are merged and globally deduplicated,
+  /// and refinement runs in parallel over candidate chunks. Returns
+  /// exactly what DB::Window would (sorted by object id).
   Result<std::vector<ObjectId>> ParallelWindowQuery(const Rect& window,
                                                     QueryStats* stats =
                                                         nullptr);
 
   /// Mixed read/write mode: applies each round's write batch atomically
-  /// on a dedicated writer thread while the rounds' query batches run on
-  /// the worker pool. Results are per round, each query annotated with
-  /// its pre/post write epochs (see MixedRoundResult). Returns the first
-  /// writer or query error, after all threads quiesce. Single-shard
-  /// executors only (InvalidArgument otherwise — sharded writes go
-  /// through the ShardRouter, not the executor).
+  /// through the router (kDurable) on a dedicated writer thread while
+  /// the rounds' query batches run on the worker pool. Results are per
+  /// round, each query annotated with its router epoch bracket (see
+  /// MixedRoundResult). Returns the first writer or query error, after
+  /// all threads quiesce. One-shard executors only (InvalidArgument
+  /// otherwise — a multi-shard batch is not visible atomically).
   Result<std::vector<MixedRoundResult>> MixedWorkload(
       const std::vector<MixedRound>& rounds);
 
@@ -221,21 +206,10 @@ class QueryExecutor {
     Status first_error GUARDED_BY(mu);
   };
 
-  /// Shared plan/slice/refine pipeline of ParallelWindowQuery. With
-  /// `pin` non-null the driver and every worker install per-thread
-  /// snapshot views under that pin; with null the caller must hold the
-  /// index's shared latch for the duration.
-  Result<std::vector<ObjectId>> ParallelWindowBody(const Rect& window,
-                                                   QueryStats* stats,
-                                                   const EpochPin* pin);
-
-  /// Sharded ParallelWindowQuery: pins (or latches) every overlapping
-  /// shard, then runs all shards' slice and refinement work items
-  /// through the shared pool. Retries the whole query on a group-commit
-  /// rollback (Aborted) like the single-shard path.
-  Result<std::vector<ObjectId>> ShardedParallelWindow(const Rect& window,
-                                                      QueryStats* stats);
-  Result<std::vector<ObjectId>> ShardedParallelWindowBody(
+  /// One attempt of ParallelWindowQuery over the overlapping `shards`:
+  /// pins (or latches) each of them, then runs all shards' slice and
+  /// refinement work items through the shared pool.
+  Result<std::vector<ObjectId>> ParallelWindowAttempt(
       const Rect& window, QueryStats* stats,
       const std::vector<uint32_t>& shards, bool snapshots);
 
@@ -244,10 +218,8 @@ class QueryExecutor {
   void WorkerLoop(size_t worker_idx);
   void ProcessJob(Job* job, size_t worker_idx);
 
-  SpatialIndex* index_;                 ///< shard 0 (the index of a
-                                        ///< single-shard executor)
-  std::vector<SpatialIndex*> indexes_;  ///< all shards, borrowed
-  std::unique_ptr<shard::ShardRouting> routing_;  ///< null if unsharded
+  shard::ShardRouter* router_;                 ///< borrowed
+  const std::vector<SpatialIndex*>& indexes_;  ///< router_'s engines
   /// Per-worker slots: each worker owns stats_.workers[i] (raceless by
   /// ownership, not by lock — see the header comment).
   ExecStats stats_;

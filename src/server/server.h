@@ -1,7 +1,9 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// Event-driven network server exposing one SpatialIndex over the zdb
-// wire protocol (net/wire.h), on TCP and/or a unix-domain socket.
+// Event-driven network server exposing one zdb::DB over the zdb wire
+// protocol (net/wire.h), on TCP and/or a unix-domain socket. The DB is
+// the only engine entry point: every shard count is served by the same
+// handlers, since a single-shard DB is a one-shard router.
 //
 // Threading model (one epoll loop per net thread, tarantool-iproto
 // style; NOT thread-per-connection):
@@ -19,11 +21,13 @@
 //     replies and typed rejections (BUSY, SHUTTING_DOWN) written
 //     inline, decoded requests pushed into the bounded admission queue.
 //   * a fixed worker pool pops requests from the queue and executes
-//     them against the engine — queries through the SpatialIndex's
-//     latched read path (large windows through the QueryExecutor's
-//     intra-query parallel mode), mutations through ApplyBatch. The
-//     reply is appended to the connection's write buffer and the
-//     owning net thread is woken through its eventfd to flush it.
+//     them against the DB — each query is one DB call (large windows go
+//     through the DB's QueryExecutor in intra-query parallel mode),
+//     bracketed by the router's published epoch before it and its
+//     announced epoch after it, which the reply carries; mutations go
+//     through DB::Apply. The reply is appended to the connection's
+//     write buffer and the owning net thread is woken through its
+//     eventfd to flush it.
 //   * writes are buffered per connection: the net thread flushes with
 //     nonblocking sends and arms EPOLLOUT only while a partial write
 //     is outstanding. A connection whose buffered output exceeds
@@ -55,10 +59,10 @@
 // daemon then calls Stop().
 //
 // Deadlock note: the executor's worker pool only ever runs the
-// unlatched plan hooks (via ParallelWindowQuery); latched queries
-// execute on the server workers' own threads. Queueing latched work
-// behind a pool job whose driver holds a reader section would deadlock
-// against a waiting writer — don't.
+// unlatched plan hooks (via ParallelWindowQuery); every other query
+// executes on the server workers' own threads. With snapshot reads off,
+// queueing latched work behind a pool job whose calling thread holds a
+// reader section would deadlock against a waiting writer — don't.
 //
 // Lock order: a net thread takes its NetThread::mu and a connection's
 // write_mu strictly one at a time, never nested; no server lock is
@@ -82,7 +86,6 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/spatial_index.h"
 #include "exec/executor.h"
 #include "net/epoll.h"
 #include "net/socket.h"
@@ -188,15 +191,10 @@ struct ServerCounters {
 
 class Server {
  public:
-  /// The index must outlive the server. Call Start() to begin serving.
-  Server(SpatialIndex* index, ServerOptions options);
-
-  /// Serves a whole zdb::DB — the way to expose a sharded DB: queries
-  /// and mutations scatter-gather through the DB facade (per-shard
-  /// epoch pinning happens inside each shard engine) and STATS reports
-  /// the per-shard counter breakdown. A single-shard DB behind this
-  /// constructor serves byte-identically to the index constructor
-  /// above. The DB must outlive the server.
+  /// Serves `db`: queries and mutations go through the DB facade
+  /// (epoch pinning happens inside each shard engine) and STATS reports
+  /// the DB aggregates plus the per-shard breakdown. The DB must outlive
+  /// the server. Call Start() to begin serving.
   Server(DB* db, ServerOptions options);
 
   ~Server();
@@ -351,8 +349,7 @@ class Server {
   /// (the log shipper's push path). Any thread.
   void PushFrame(const ConnPtr& conn, std::string frame);
 
-  SpatialIndex* index_;      ///< shard 0 under the DB constructor
-  DB* db_ = nullptr;         ///< set by the DB constructor only
+  DB* db_;                   ///< the served DB (borrowed)
   ServerOptions options_;
   std::unique_ptr<QueryExecutor> exec_;
   uint16_t port_ = 0;

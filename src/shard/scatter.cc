@@ -40,6 +40,9 @@ std::vector<ObjectId> MergeIdLists(std::vector<std::vector<ObjectId>> lists) {
 Result<std::vector<ObjectId>> ScatterWindow(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Rect& window, QueryStats* stats) {
+  // Validated here, not per shard: an inverted window masks to no shard
+  // at all and would otherwise gather an empty OK answer.
+  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   std::vector<std::vector<ObjectId>> lists;
   ZDB_RETURN_IF_ERROR(
       ForEachShard(routing.MaskForRect(window), [&](uint32_t s) -> Status {
@@ -62,6 +65,7 @@ Result<std::vector<ObjectId>> ScatterWindow(
 Result<std::vector<ObjectId>> ScatterPoint(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Point& p, QueryStats* stats) {
+  ZDB_RETURN_IF_ERROR(CheckQueryPoint(p));  // before the grid mapping
   const SpaceMapper& m = routing.mapper();
   const uint32_t s = routing.ShardForCell(m.ToGridX(p.x), m.ToGridY(p.y));
   return indexes[s]->PointQuery(p, stats);
@@ -70,6 +74,7 @@ Result<std::vector<ObjectId>> ScatterPoint(
 Result<std::vector<ObjectId>> ScatterContainment(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Rect& window, QueryStats* stats) {
+  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   std::vector<std::vector<ObjectId>> lists;
   ZDB_RETURN_IF_ERROR(
       ForEachShard(routing.MaskForRect(window), [&](uint32_t s) -> Status {
@@ -88,20 +93,10 @@ Result<std::vector<ObjectId>> ScatterContainment(
   return merged;
 }
 
-Result<std::vector<ObjectId>> ScatterEnclosure(
-    const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
-    const Rect& window, QueryStats* stats) {
-  // An object enclosing the window covers the window's whole grid rect,
-  // so it is replicated into every shard the window overlaps — any one
-  // of them has the complete answer.
-  const uint64_t mask = routing.MaskForRect(window);
-  const uint32_t s = static_cast<uint32_t>(__builtin_ctzll(mask));
-  return indexes[s]->EnclosureQuery(window, stats);
-}
-
 Result<std::vector<std::pair<ObjectId, double>>> ScatterNearest(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Point& p, size_t k, QueryStats* stats) {
+  ZDB_RETURN_IF_ERROR(CheckQueryPoint(p));
   std::vector<std::pair<ObjectId, double>> best;
   if (k == 0 || indexes.empty()) return best;
   if (indexes.size() == 1) return indexes[0]->NearestNeighbors(p, k, stats);

@@ -3,17 +3,18 @@
 // Scatter-gather queries over a set of shard engines. Free functions so
 // both the ShardRouter (serial queries through zdb::DB) and the
 // QueryExecutor (cross-shard batch parallelism) run the exact same
-// gather semantics:
+// gather semantics, for every shard count including one:
 //
+//   * query arguments are validated once, before any routing, with the
+//     engine's own error texts (CheckQueryWindow / CheckQueryPoint) —
+//     an inverted window masks to no shard, and a non-finite point has
+//     no grid cell;
 //   * window/containment scatter only to the shards whose prefix region
 //     intersects the query rect, gather the per-shard sorted id lists
 //     and dedup by oid (a straddling object answers from every owning
 //     shard with the same global oid);
 //   * point queries route to exactly one shard (a grid cell has one
 //     owner and any object containing the point is replicated there);
-//   * enclosure needs only one overlapping shard (an object enclosing
-//     the window covers the window's whole grid rect, so every
-//     overlapping shard holds it);
 //   * kNN runs a best-first frontier over the shards ordered by mindist
 //     to their prefix regions — shards provably farther than the k-th
 //     candidate are never opened.
@@ -44,10 +45,6 @@ Result<std::vector<ObjectId>> ScatterPoint(
     const Point& p, QueryStats* stats = nullptr);
 
 Result<std::vector<ObjectId>> ScatterContainment(
-    const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
-    const Rect& window, QueryStats* stats = nullptr);
-
-Result<std::vector<ObjectId>> ScatterEnclosure(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Rect& window, QueryStats* stats = nullptr);
 

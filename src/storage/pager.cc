@@ -181,6 +181,10 @@ Status Pager::JournalBeforeImage(PageId id) {
 Status Pager::CommitBatch() {
   MutexLock lock(mu_);
   if (!in_batch_) return Status::InvalidArgument("no active batch");
+  if (failing_commits_ > 0) {
+    --failing_commits_;
+    return Status::IOError("injected commit failure");
+  }
   ZDB_RETURN_IF_ERROR(StoreHeader());
   ZDB_RETURN_IF_ERROR(file_->Sync());
   // The database is durable; retiring the journal commits the batch.

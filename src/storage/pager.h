@@ -139,6 +139,14 @@ class Pager {
     return sim_read_latency_us_.load(std::memory_order_relaxed);
   }
 
+  /// Test hook: the next `n` CommitBatch calls fail with IOError, as a
+  /// failed fsync would, before touching the file; the batch stays
+  /// active with its journal intact.
+  void FailNextCommits(uint32_t n) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    failing_commits_ = n;
+  }
+
  private:
   Pager(std::unique_ptr<File> file, uint32_t page_size)
       : file_(std::move(file)), page_size_(page_size) {}
@@ -175,6 +183,7 @@ class Pager {
   PageId freelist_head_ GUARDED_BY(mu_) = kInvalidPageId;
   IoStats io_;  ///< relaxed atomics; read concurrently without mu_
   std::atomic<uint32_t> sim_read_latency_us_{0};
+  uint32_t failing_commits_ GUARDED_BY(mu_) = 0;  ///< FailNextCommits
 
   /// Atomic so in_batch() may be polled without the pager mutex (e.g.
   /// by SpatialIndex::ApplyBatch deciding whether to journal); mutated

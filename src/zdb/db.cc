@@ -19,8 +19,7 @@ bool IsMemoryPath(const std::string& path) {
 }  // namespace
 
 struct DB::Impl {
-  std::unique_ptr<shard::ShardRouter> router;
-  bool sharded = false;  ///< N > 1: route writes/queries through router
+  std::unique_ptr<shard::ShardRouter> router;  ///< the one dispatch path
 
   /// Replication hook. repl_mu_ serializes {publish, read epoch, emit}
   /// so the sink observes batches in strictly increasing epoch order;
@@ -103,7 +102,6 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
   std::unique_ptr<DB> db(new DB());
   db->impl_ = std::make_unique<Impl>();
   db->journaled_ = engines[0]->journaled();
-  db->impl_->sharded = n > 1;
 
   // Routing comes from the engines' actual (possibly reopened) index
   // options, not the caller's, so a reopened DB routes exactly as it
@@ -112,9 +110,7 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
   shard::ShardRouting routing(n, iopt.world, iopt.grid_bits);
   db->impl_->router = std::make_unique<shard::ShardRouter>(std::move(engines),
                                                            std::move(routing));
-  if (db->impl_->sharded) {
-    ZDB_RETURN_IF_ERROR(db->impl_->router->RecoverState());
-  }
+  ZDB_RETURN_IF_ERROR(db->impl_->router->RecoverState());
   return db;
 }
 
@@ -122,41 +118,33 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
 
 Result<std::vector<ObjectId>> DB::Window(const Rect& window,
                                          QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Window(window, stats);
-  return index()->WindowQuery(window, stats);
+  return impl_->router->Window(window, stats);
 }
 
 Result<std::vector<ObjectId>> DB::Point(const zdb::Point& p, QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Point(p, stats);
-  return index()->PointQuery(p, stats);
+  return impl_->router->Point(p, stats);
 }
 
 Result<std::vector<ObjectId>> DB::Containment(const Rect& window,
                                               QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Containment(window, stats);
-  return index()->ContainmentQuery(window, stats);
+  return impl_->router->Containment(window, stats);
 }
 
 Result<std::vector<std::pair<ObjectId, double>>> DB::Nearest(
     const zdb::Point& p, size_t k, QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Nearest(p, k, stats);
-  return index()->NearestNeighbors(p, k, stats);
+  return impl_->router->Nearest(p, k, stats);
 }
 
 // --------------------------------------------------------------- updates
 
+// Single-op mutations are one-op batches acknowledged at publish time;
+// going through Apply is also what reports them to a commit sink.
 Result<ObjectId> DB::Insert(const Rect& mbr, uint32_t payload) {
-  if (impl_->has_sink.load(std::memory_order_acquire)) {
-    // Route through Apply so the mutation reaches the commit sink as a
-    // one-op batch (publish-time ack, like the direct path).
-    WriteBatch batch;
-    batch.Insert(mbr, payload);
-    std::vector<ObjectId> ids;
-    ZDB_ASSIGN_OR_RETURN(ids, Apply(batch, Durability::kPublished));
-    return ids[0];
-  }
-  if (impl_->sharded) return impl_->router->Insert(mbr, payload);
-  return index()->Insert(mbr, payload);
+  WriteBatch batch;
+  batch.Insert(mbr, payload);
+  std::vector<ObjectId> ids;
+  ZDB_ASSIGN_OR_RETURN(ids, Apply(batch, Durability::kPublished));
+  return ids[0];
 }
 
 Result<ObjectId> DB::InsertPolygon(const Polygon& poly) {
@@ -165,18 +153,13 @@ Result<ObjectId> DB::InsertPolygon(const Polygon& poly) {
         "InsertPolygon has no batch representation to replicate; "
         "not available while a commit sink is attached");
   }
-  if (impl_->sharded) return impl_->router->InsertPolygon(poly);
-  return index()->InsertPolygon(poly);
+  return impl_->router->InsertPolygon(poly);
 }
 
 Status DB::Erase(ObjectId oid) {
-  if (impl_->has_sink.load(std::memory_order_acquire)) {
-    WriteBatch batch;
-    batch.Erase(oid);
-    return Apply(batch, Durability::kPublished).status();
-  }
-  if (impl_->sharded) return impl_->router->Erase(oid);
-  return index()->Erase(oid);
+  WriteBatch batch;
+  batch.Erase(oid);
+  return Apply(batch, Durability::kPublished).status();
 }
 
 Status DB::BulkLoad(const std::vector<Rect>& data, double fill) {
@@ -185,15 +168,13 @@ Status DB::BulkLoad(const std::vector<Rect>& data, double fill) {
         "BulkLoad bypasses the batch commit path; "
         "not available while a commit sink is attached");
   }
-  if (impl_->sharded) return impl_->router->BulkLoad(data, fill);
-  return index()->BulkLoad(data, fill);
+  return impl_->router->BulkLoad(data, fill);
 }
 
 Result<std::vector<ObjectId>> DB::Apply(const WriteBatch& batch,
                                         Durability durability) {
   if (!impl_->has_sink.load(std::memory_order_acquire)) {
-    if (impl_->sharded) return impl_->router->Apply(batch, durability);
-    return index()->ApplyBatch(batch, durability);
+    return impl_->router->Apply(batch, durability);
   }
 
   // Sink attached: publish and emit under repl_mu_ so OnCommit sees
@@ -206,15 +187,11 @@ Result<std::vector<ObjectId>> DB::Apply(const WriteBatch& batch,
     if (impl_->sink == nullptr) {
       // Detached between the fast-path check and the lock.
       lock.Unlock();
-      if (impl_->sharded) return impl_->router->Apply(batch, durability);
-      return index()->ApplyBatch(batch, durability);
+      return impl_->router->Apply(batch, durability);
     }
-    r = impl_->sharded
-            ? impl_->router->Apply(batch, Durability::kPublished)
-            : index()->ApplyBatch(batch, Durability::kPublished);
+    r = impl_->router->Apply(batch, Durability::kPublished, &publish_epoch);
     if (!r.ok()) return r;
     if (!batch.empty()) {
-      publish_epoch = write_epoch();
       WriteBatch resolved = batch;
       size_t next_inserted = 0;
       for (WriteOp& op : resolved.ops) {
@@ -245,15 +222,7 @@ Status DB::SetCommitSink(CommitSink* sink) {
 }
 
 Result<std::vector<ObjectId>> DB::ApplyReplicated(const WriteBatch& batch) {
-  for (const WriteOp& op : batch.ops) {
-    if (op.kind == WriteOp::Kind::kInsert &&
-        op.preassigned == kNoPreassignedOid) {
-      return Status::InvalidArgument(
-          "replicated insert lacks a leader-assigned oid");
-    }
-  }
-  if (impl_->sharded) return impl_->router->ApplyReplicated(batch);
-  return index()->ApplyBatch(batch, Durability::kPublished);
+  return impl_->router->ApplyReplicated(batch);
 }
 
 // ------------------------------------------------------------ durability
@@ -264,21 +233,18 @@ Status DB::WaitDurable(uint64_t epoch, uint64_t timeout_ms) {
   if (!index()->group_commit_active()) {
     return Status::InvalidArgument("group-commit pipeline not running");
   }
-  if (impl_->sharded) return impl_->router->WaitDurable(epoch, timeout_ms);
-  return index()->WaitDurable(epoch, timeout_ms);
+  return impl_->router->WaitDurable(epoch, timeout_ms);
 }
 
 // -------------------------------------------------------------- plumbing
 
 DBStats DB::Stats() const {
-  const shard::ShardRouter* router = impl_->router.get();
+  shard::ShardRouter* router = impl_->router.get();
   DBStats s;
   s.shards = router->shards();
-  s.objects = impl_->sharded ? router->object_count()
-                             : router->index(0)->object_count();
-  s.write_epoch = impl_->sharded ? router->write_epoch()
-                                 : router->index(0)->write_epoch();
-  s.durable_epoch = router->index(0)->durable_epoch();
+  s.objects = router->object_count();
+  s.write_epoch = router->write_epoch();
+  s.durable_epoch = router->durable_epoch();
   s.page_size = router->engine(0)->pager()->page_size();
   s.group_commit = router->index(0)->group_commit_active();
   s.snapshot_reads = router->index(0)->snapshots_enabled();
@@ -288,11 +254,11 @@ DBStats DB::Stats() const {
     s.index_entries += index->build_stats().index_entries;
     s.journal_commits += pager->commit_count();
     s.pages += pager->page_count();
-    s.durable_epoch = std::min(s.durable_epoch, index->durable_epoch());
     if (index->snapshots_enabled()) {
       const EpochStats es = index->epoch_stats();
       s.pinned_epochs += es.pinned;
       s.pins_taken += es.pins_taken;
+      s.gc_cycles += es.gc_cycles;
       const PageVersionStats vs = index->version_stats();
       s.page_versions += vs.live;
       s.version_bytes += vs.bytes;
@@ -314,19 +280,13 @@ std::vector<shard::ShardCounters> DB::ShardStats() const {
   return out;
 }
 
-bool DB::sharded() const { return impl_->sharded; }
+bool DB::sharded() const { return impl_->router->shards() > 1; }
 
 uint32_t DB::shards() const { return impl_->router->shards(); }
 
-uint64_t DB::write_epoch() const {
-  return impl_->sharded ? impl_->router->write_epoch()
-                        : impl_->router->index(0)->write_epoch();
-}
+uint64_t DB::write_epoch() const { return impl_->router->write_epoch(); }
 
-uint64_t DB::object_count() const {
-  return impl_->sharded ? impl_->router->object_count()
-                        : impl_->router->index(0)->object_count();
-}
+uint64_t DB::object_count() const { return impl_->router->object_count(); }
 
 const IndexBuildStats& DB::build_stats() const {
   return impl_->router->index(0)->build_stats();
@@ -350,11 +310,7 @@ Status DB::ClearCache() {
 }
 
 std::unique_ptr<QueryExecutor> DB::NewExecutor(size_t threads) {
-  if (impl_->sharded) {
-    return std::make_unique<QueryExecutor>(impl_->router->indexes(),
-                                           impl_->router->routing(), threads);
-  }
-  return std::make_unique<QueryExecutor>(index(), threads);
+  return std::make_unique<QueryExecutor>(impl_->router.get(), threads);
 }
 
 SpatialIndex* DB::index() { return impl_->router->index(0); }

@@ -28,17 +28,19 @@
 // DBOptions::memory_journal to get journaled crash-atomic batches and
 // the group-commit pipeline on an in-memory file (tests, benches).
 //
-// Sharding: DBOptions::shards > 1 partitions the z-order keyspace by
-// top-level Morton prefix into N independent shard engines (each its
-// own file, pager, buffer pool, index, epoch domain and group-commit
-// pipeline) behind this same facade — queries scatter to overlapping
+// Sharding: every DB dispatches through a shard::ShardRouter over N
+// shard engines (each its own file, pager, buffer pool, index, epoch
+// domain and group-commit pipeline); the default N = 1 is simply the
+// one-shard router. DBOptions::shards > 1 partitions the z-order
+// keyspace by top-level Morton prefix — queries scatter to overlapping
 // shards and gather + dedup by oid, writes split by routing prefix and
-// fan out to the per-shard pipelines, and object ids stay byte-identical
-// to a single-shard DB's. On disk the main path holds a small manifest
-// and shard i lives at `path + ".shard<i>"`; a sharded file always
-// reopens sharded (the stored layout wins, like stored index options).
-// The default shards = 1 preserves today's one-file layout exactly.
-// See DESIGN.md "Sharded partitions".
+// fan out to the per-shard pipelines — and object ids stay
+// byte-identical to a single-shard DB's, because the router assigns
+// them at every N (a user batch may not preassign oids; that is
+// ApplyReplicated's job). On disk a one-shard DB is one file; an
+// N-shard DB keeps a small manifest at the main path and shard i at
+// `path + ".shard<i>"`. The stored layout wins on reopen, like stored
+// index options. See DESIGN.md "Sharded partitions".
 //
 // Every fallible entry point returns Status/Result<T> (common/status.h).
 
@@ -103,17 +105,18 @@ struct DBOptions {
   [[nodiscard]] Status Validate() const;
 };
 
-/// Aggregate counters served by DB::Stats(). For a sharded DB the
-/// storage counters (entries, pages, commits, versions) sum over the
-/// shards, `objects` counts each object once (not per replica),
-/// `write_epoch` is the router's published-batch counter and
-/// `durable_epoch` the most conservative (minimum) per-shard durable
-/// epoch. Per-shard breakdowns come from DB::ShardStats().
+/// Aggregate counters served by DB::Stats(). The storage counters
+/// (entries, pages, commits, snapshot counters) sum over the shards,
+/// `objects` counts each object once (not per replica), `write_epoch`
+/// is the router's epoch (published batches plus group rollbacks) and
+/// `durable_epoch` the highest router epoch durable on every shard.
+/// Per-shard breakdowns (in each engine's own epochs) come from
+/// DB::ShardStats().
 struct DBStats {
   uint64_t objects = 0;        ///< live objects
   uint64_t index_entries = 0;  ///< z-elements stored in the B+-tree(s)
   double redundancy = 0.0;     ///< entries per object
-  uint64_t write_epoch = 0;    ///< published writer sections / batches
+  uint64_t write_epoch = 0;    ///< published batches + group rollbacks
   uint64_t durable_epoch = 0;  ///< highest epoch fsynced (group mode)
   uint64_t journal_commits = 0;  ///< durable batch commits (coalesced)
   uint32_t pages = 0;          ///< pages allocated in the file(s)
@@ -123,6 +126,7 @@ struct DBStats {
   uint32_t shards = 1;          ///< shard engines behind the facade
   uint64_t pinned_epochs = 0;   ///< snapshot pins currently open
   uint64_t pins_taken = 0;      ///< snapshot pins ever taken
+  uint64_t gc_cycles = 0;       ///< epoch-GC reclamation passes run
   uint64_t page_versions = 0;   ///< before-image page versions retained
   uint64_t version_bytes = 0;   ///< bytes held by those versions
   uint64_t versions_saved = 0;  ///< before-images ever saved
@@ -214,10 +218,10 @@ class DB {
   /// checkpointed so Stats()/reopen paths stay coherent).
   [[nodiscard]] Status Checkpoint();
 
-  /// Blocks until `epoch` is durable (group mode; see
-  /// SpatialIndex::WaitDurable). timeout_ms 0 waits indefinitely. On a
-  /// sharded DB this waits on every shard's durable epoch as of the
-  /// call (conservative for older epochs).
+  /// Blocks until the state at write epoch `epoch` (a write_epoch()
+  /// value) is durable on every shard; group mode only. Fails with the
+  /// rollback cause if a failed group commit lost that state, even when
+  /// later epochs became durable. timeout_ms 0 waits indefinitely.
   [[nodiscard]] Status WaitDurable(uint64_t epoch, uint64_t timeout_ms = 0);
 
   // ------------------------------------------------------------ plumbing
@@ -250,21 +254,23 @@ class DB {
   /// pages would be lost — checkpoint first.
   [[nodiscard]] Status ClearCache();
 
-  /// A query executor driving this DB over `threads` workers. For a
-  /// sharded DB the executor scatter-gathers across the shard engines
-  /// (parallelizing across shards before slicing within them). The
-  /// executor must not outlive the DB.
+  /// A query executor driving this DB's router over `threads` workers:
+  /// batch queries scatter-gather per item, and ParallelWindowQuery
+  /// parallelizes across shards before slicing within them (one shard
+  /// is the degenerate case). MixedWorkload writes through the router
+  /// and needs a one-shard DB. The executor must not outlive the DB.
   std::unique_ptr<QueryExecutor> NewExecutor(size_t threads);
 
-  /// Shard 0's index — the escape hatch for engine-level wiring and
-  /// diagnostics (LevelHistogram, btree stats). It is the whole engine
-  /// of a single-shard DB; on a sharded DB it sees only shard 0's
-  /// slice, so prefer the typed DB methods for data operations.
+  /// Shard 0's index — the escape hatch for engine-level diagnostics
+  /// (LevelHistogram, btree stats, the staged plan hooks). It is the
+  /// whole engine of a single-shard DB; on a sharded DB it sees only
+  /// shard 0's slice. Write only through the DB methods: a write that
+  /// bypasses the router leaves its oid cursor and owner masks behind.
   SpatialIndex* index();
 
-  /// The router behind a sharded DB; nullptr semantics never arise —
-  /// a single-shard DB has a router too (with one engine and trivial
-  /// routing). Engine-level wiring for the server and tests.
+  /// The router every operation dispatches through (one engine and
+  /// trivial routing for a single-shard DB). Engine-level wiring for
+  /// the server, the executor and tests.
   shard::ShardRouter* router();
 
  private:

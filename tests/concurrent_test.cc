@@ -19,6 +19,7 @@
 #include "storage/pager.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
+#include "zdb/db.h"
 
 namespace zdb {
 namespace {
@@ -134,15 +135,17 @@ TEST(Concurrent, MixedQueryStress) {
 TEST(Concurrent, ExecutorBatchesUnderContention) {
   // The executor's worker pool plus an outside reader thread — both
   // paths share the index and buffer pool.
-  auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 96);
-  SpatialIndexOptions opt;
-  opt.data = DecomposeOptions::SizeBound(4);
-  auto index = SpatialIndex::Create(&pool, opt).value();
+  DBOptions dopt;  // in-memory, unjournaled, latched reads
+  dopt.index.data = DecomposeOptions::SizeBound(4);
+  dopt.page_size = 512;
+  dopt.cache_pages = 96;
+  dopt.snapshot_reads = false;
+  auto db = DB::Open("", dopt).value();
+  SpatialIndex* index = db->index();
   DataGenOptions dg;
   dg.distribution = Distribution::kUniformSmall;
   for (const Rect& r : GenerateData(800, dg)) {
-    ASSERT_TRUE(index->Insert(r).ok());
+    ASSERT_TRUE(db->Insert(r).ok());
   }
 
   const auto windows = GenerateWindows(16, 0.05, QueryGenOptions{});
@@ -151,7 +154,8 @@ TEST(Concurrent, ExecutorBatchesUnderContention) {
     expected.push_back(index->WindowQuery(w).value());
   }
 
-  QueryExecutor exec(index.get(), 4);
+  auto exec_owner = db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   std::atomic<int> mismatches{0};
   std::thread outsider([&] {
     for (int iter = 0; iter < 6; ++iter) {

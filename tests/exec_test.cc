@@ -11,8 +11,8 @@
 
 #include <algorithm>
 
-#include "storage/pager.h"
 #include "workload/datagen.h"
+#include "zdb/db.h"
 #include "workload/querygen.h"
 
 namespace zdb {
@@ -21,13 +21,23 @@ namespace {
 struct ExecFixture {
   explicit ExecFixture(SpatialIndexOptions opt = MakeOptions(), size_t n = 800,
                        size_t pool_pages = 512)
-      : pager(Pager::OpenInMemory(512)), pool(pager.get(), pool_pages) {
-    index = SpatialIndex::Create(&pool, opt).value();
+      : db(OpenDB(opt, pool_pages)), index(db->index()) {
     DataGenOptions dg;
     dg.distribution = Distribution::kClusters;
     for (const Rect& r : GenerateData(n, dg)) {
-      EXPECT_TRUE(index->Insert(r).ok());
+      EXPECT_TRUE(db->Insert(r).ok());
     }
+  }
+
+  /// In-memory, unjournaled, latched reads, 512-byte pages.
+  static std::unique_ptr<DB> OpenDB(const SpatialIndexOptions& opt,
+                                    size_t pool_pages) {
+    DBOptions dopt;
+    dopt.index = opt;
+    dopt.page_size = 512;
+    dopt.cache_pages = pool_pages;
+    dopt.snapshot_reads = false;
+    return DB::Open("", dopt).value();
   }
 
   static SpatialIndexOptions MakeOptions() {
@@ -36,9 +46,8 @@ struct ExecFixture {
     return opt;
   }
 
-  std::unique_ptr<Pager> pager;
-  BufferPool pool;
-  std::unique_ptr<SpatialIndex> index;
+  std::unique_ptr<DB> db;
+  SpatialIndex* index;  ///< the DB's one engine, for the serial answers
 };
 
 TEST(QueryExecutor, WindowBatchMatchesSerial) {
@@ -49,7 +58,8 @@ TEST(QueryExecutor, WindowBatchMatchesSerial) {
     expected.push_back(f.index->WindowQuery(w).value());
   }
   for (size_t threads : {1u, 2u, 4u}) {
-    QueryExecutor exec(f.index.get(), threads);
+    auto exec_owner = f.db->NewExecutor(threads);
+    QueryExecutor& exec = *exec_owner;
     auto got = exec.WindowBatch(windows).value();
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -66,7 +76,8 @@ TEST(QueryExecutor, PointBatchMatchesSerial) {
   for (const auto& p : points) {
     expected.push_back(f.index->PointQuery(p).value());
   }
-  QueryExecutor exec(f.index.get(), 4);
+  auto exec_owner = f.db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   auto got = exec.PointBatch(points).value();
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -81,7 +92,8 @@ TEST(QueryExecutor, NearestBatchMatchesSerial) {
   for (const auto& p : points) {
     expected.push_back(f.index->NearestNeighbors(p, 5).value());
   }
-  QueryExecutor exec(f.index.get(), 3);
+  auto exec_owner = f.db->NewExecutor(3);
+  QueryExecutor& exec = *exec_owner;
   auto got = exec.NearestBatch(points, 5).value();
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -93,7 +105,8 @@ TEST(QueryExecutor, ParallelWindowQueryMatchesSerial) {
   ExecFixture f;
   const auto windows = GenerateWindows(10, 0.1, QueryGenOptions{.seed = 11});
   for (size_t threads : {1u, 2u, 4u, 7u}) {
-    QueryExecutor exec(f.index.get(), threads);
+    auto exec_owner = f.db->NewExecutor(threads);
+    QueryExecutor& exec = *exec_owner;
     for (const auto& w : windows) {
       QueryStats serial_stats, par_stats;
       auto expected = f.index->WindowQuery(w, &serial_stats).value();
@@ -109,7 +122,8 @@ TEST(QueryExecutor, ParallelWindowQueryLeafMbrMode) {
   SpatialIndexOptions opt = ExecFixture::MakeOptions();
   opt.store_mbr_in_leaf = true;
   ExecFixture f(opt);
-  QueryExecutor exec(f.index.get(), 4);
+  auto exec_owner = f.db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   for (const auto& w : GenerateWindows(10, 0.05, QueryGenOptions{})) {
     auto expected = f.index->WindowQuery(w).value();
     EXPECT_EQ(exec.ParallelWindowQuery(w).value(), expected);
@@ -120,7 +134,8 @@ TEST(QueryExecutor, ParallelWindowQueryBigminMode) {
   SpatialIndexOptions opt = ExecFixture::MakeOptions();
   opt.use_bigmin = true;
   ExecFixture f(opt);
-  QueryExecutor exec(f.index.get(), 4);
+  auto exec_owner = f.db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   for (const auto& w : GenerateWindows(10, 0.05, QueryGenOptions{})) {
     auto expected = f.index->WindowQuery(w).value();
     EXPECT_EQ(exec.ParallelWindowQuery(w).value(), expected);
@@ -129,7 +144,8 @@ TEST(QueryExecutor, ParallelWindowQueryBigminMode) {
 
 TEST(QueryExecutor, EmptyBatchesAndEmptyIndex) {
   ExecFixture f(ExecFixture::MakeOptions(), 0);
-  QueryExecutor exec(f.index.get(), 2);
+  auto exec_owner = f.db->NewExecutor(2);
+  QueryExecutor& exec = *exec_owner;
   EXPECT_TRUE(exec.WindowBatch({}).value().empty());
   EXPECT_TRUE(exec.PointBatch({}).value().empty());
   auto got = exec.WindowBatch({Rect{0, 0, 1, 1}}).value();
@@ -140,7 +156,8 @@ TEST(QueryExecutor, EmptyBatchesAndEmptyIndex) {
 
 TEST(QueryExecutor, PropagatesQueryErrors) {
   ExecFixture f;
-  QueryExecutor exec(f.index.get(), 2);
+  auto exec_owner = f.db->NewExecutor(2);
+  QueryExecutor& exec = *exec_owner;
   const Rect bad{0.5, 0.5, 0.4, 0.6};  // xlo > xhi
   EXPECT_TRUE(exec.WindowBatch({Rect{0, 0, 1, 1}, bad})
                   .status()
@@ -150,10 +167,37 @@ TEST(QueryExecutor, PropagatesQueryErrors) {
   EXPECT_FALSE(exec.WindowBatch({Rect{0, 0, 1, 1}}).value().empty());
 }
 
+TEST(QueryExecutor, MixedWorkloadWritesThroughTheRouter) {
+  // The mixed-mode writer applies through the DB's router, so the
+  // router's oid cursor and owner masks follow it: later DB batches
+  // continue the dense oid sequence and can erase what it inserted.
+  ExecFixture f(ExecFixture::MakeOptions(), 50);
+  auto exec_owner = f.db->NewExecutor(2);
+  QueryExecutor& exec = *exec_owner;
+  std::vector<MixedRound> rounds(3);
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    rounds[r].writes.Insert(Rect{0.1, 0.1, 0.2, 0.2});
+    rounds[r].writes.Erase(static_cast<ObjectId>(r));
+    rounds[r].windows = {Rect{0, 0, 1, 1}};
+  }
+  auto results = exec.MixedWorkload(rounds).value();
+  ASSERT_EQ(results.size(), rounds.size());
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    EXPECT_EQ(results[r].inserted,
+              std::vector<ObjectId>{static_cast<ObjectId>(50 + r)});
+  }
+  WriteBatch next;
+  next.Insert(Rect{0.3, 0.3, 0.4, 0.4});
+  next.Erase(50);
+  EXPECT_EQ(f.db->Apply(next).value(), std::vector<ObjectId>{53});
+  EXPECT_EQ(f.db->object_count(), 50u);
+}
+
 TEST(QueryExecutor, PerWorkerStatsAggregate) {
   ExecFixture f;
   const auto windows = GenerateWindows(32, 0.02, QueryGenOptions{});
-  QueryExecutor exec(f.index.get(), 4);
+  auto exec_owner = f.db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   exec.ResetStats();
   auto results = exec.WindowBatch(windows).value();
   size_t total_results = 0;

@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/commit_sink.h"
 #include "core/spatial_index.h"
+#include "shard/router.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 #include "zdb/db.h"
@@ -417,6 +419,89 @@ TEST(GroupCommit, DbFacadeRunsThePipeline) {
   EXPECT_FALSE(db2->Stats().group_commit);
   ASSERT_TRUE(db2->Apply(InsertBatch(0.1)).ok());
   EXPECT_EQ(db2->object_count(), 1u);
+}
+
+/// Counts OnCommit calls; the sink only has to exist for DB::Apply to
+/// take its replication path.
+class CountingSink : public CommitSink {
+ public:
+  void OnCommit(uint64_t, const WriteBatch&) override { ++commits; }
+  std::atomic<int> commits{0};
+};
+
+TEST(GroupCommit, DbReportsBatchesLostToAFailedGroupCommit) {
+  // A one-shard DB whose group fsync fails: the rolled-back batches must
+  // fail their durability waits (also once a later batch is durable),
+  // and the DB's epoch, object count and next oid must follow the
+  // rolled-back state. Run with and without a commit sink, which waits
+  // durability through the router epoch it reports to the sink.
+  for (const bool with_sink : {false, true}) {
+    SCOPED_TRACE(with_sink ? "commit sink" : "no sink");
+    DBOptions options;
+    options.index.data = DecomposeOptions::SizeBound(4);
+    options.memory_journal = true;
+    auto db = DB::Open(":memory:", options).value();
+    CountingSink sink;
+    if (with_sink) {
+      ASSERT_TRUE(db->SetCommitSink(&sink).ok());
+    }
+    shard::ShardRouter* router = db->router();
+    ASSERT_EQ(router->shards(), 1u);
+    ASSERT_TRUE(db->Apply(InsertBatch(0.1, 3)).ok());  // oids 0..2, durable
+
+    // Hold the pipeline, publish a batch, then a durable writer that
+    // blocks on the held group; the group's fsync will fail.
+    db->index()->SetGroupCommitPaused(true);
+    router->engine(0)->pager()->FailNextCommits(1);
+    auto lost = db->Apply(InsertBatch(0.3, 2), Durability::kPublished);
+    ASSERT_TRUE(lost.ok());
+    EXPECT_EQ(lost.value(), (std::vector<ObjectId>{3, 4}));
+    const uint64_t lost_epoch = db->write_epoch();
+    Status durable_status;
+    std::thread writer([&] {
+      durable_status = db->Apply(InsertBatch(0.5)).status();
+    });
+    while (db->write_epoch() == lost_epoch) std::this_thread::yield();
+    db->index()->SetGroupCommitPaused(false);
+    writer.join();
+
+    EXPECT_TRUE(durable_status.IsIOError()) << durable_status.ToString();
+    EXPECT_TRUE(db->WaitDurable(lost_epoch).IsIOError());
+    EXPECT_EQ(db->object_count(), 3u);
+    EXPECT_EQ(db->Stats().objects, 3u);
+
+    // The rollback moved the epoch past both lost batches, and a quiet
+    // DB brackets its (rolled-back) answer with e0 == e1.
+    const uint64_t e0 = router->write_epoch();
+    auto all = db->Window(Rect{0, 0, 1, 1});
+    const uint64_t e1 = router->announced_epoch();
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(all.value(), (std::vector<ObjectId>{0, 1, 2}));
+    EXPECT_EQ(e0, e1);
+    EXPECT_GT(e0, lost_epoch + 1);
+
+    // The next insert takes the next dense oid, and later durable
+    // batches do not make the lost one durable.
+    auto next = db->Apply(InsertBatch(0.7));
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next.value(), (std::vector<ObjectId>{3}));
+    const uint64_t next_epoch = db->write_epoch();
+    for (int i = 0; i < 100; ++i) {  // enough marks to prune the old ones
+      ASSERT_TRUE(
+          db->Apply(InsertBatch(0.01 * (i % 80)), Durability::kPublished)
+              .ok());
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_TRUE(db->WaitDurable(next_epoch).ok());
+    EXPECT_TRUE(db->WaitDurable(db->write_epoch()).ok());
+    EXPECT_TRUE(db->WaitDurable(lost_epoch).IsIOError());
+    EXPECT_EQ(db->object_count(), 104u);
+    EXPECT_EQ(db->Stats().durable_epoch, db->write_epoch());
+    if (with_sink) {
+      EXPECT_EQ(sink.commits.load(), 104);
+      ASSERT_TRUE(db->SetCommitSink(nullptr).ok());
+    }
+  }
 }
 
 }  // namespace

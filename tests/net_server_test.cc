@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,11 +24,9 @@
 #include <vector>
 
 #include "client/client.h"
-#include "core/spatial_index.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "server/server.h"
-#include "storage/pager.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
 #include "workload/seed.h"
@@ -114,19 +113,20 @@ bool MatchesKnnInRange(const std::vector<OracleState>& states,
 
 /// In-memory index + server with test-friendly defaults.
 struct TestServer {
-  std::unique_ptr<Pager> pager;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<SpatialIndex> index;
+  std::unique_ptr<DB> db;
   std::unique_ptr<Server> server;
 
   explicit TestServer(ServerOptions opt = {}, size_t pool_pages = 256) {
-    pager = Pager::OpenInMemory(512);
-    pool = std::make_unique<BufferPool>(pager.get(), pool_pages);
-    SpatialIndexOptions iopt;
-    iopt.data = DecomposeOptions::SizeBound(8);
-    index = SpatialIndex::Create(pool.get(), iopt).value();
+    // In-memory, unjournaled, latched reads: 512-byte pages and a
+    // `pool_pages`-frame cache.
+    DBOptions dopt;
+    dopt.index.data = DecomposeOptions::SizeBound(8);
+    dopt.page_size = 512;
+    dopt.cache_pages = pool_pages;
+    dopt.snapshot_reads = false;
+    db = DB::Open("", dopt).value();
     opt.idle_timeout_ms = opt.idle_timeout_ms == 30000 ? 0 : opt.idle_timeout_ms;
-    server = std::make_unique<Server>(index.get(), opt);
+    server = std::make_unique<Server>(db.get(), opt);
     const Status s = server->Start();
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
@@ -282,10 +282,10 @@ TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
   opt.queue_capacity = 256;  // roomy: this test measures correctness
   TestServer ts(opt);
   for (size_t i = 0; i < initial.size(); ++i) {
-    ASSERT_EQ(ts.index->Insert(initial[i]).value(),
+    ASSERT_EQ(ts.db->Insert(initial[i]).value(),
               static_cast<ObjectId>(i));
   }
-  const uint64_t base = ts.index->write_epoch();
+  const uint64_t base = ts.db->write_epoch();
 
   std::atomic<bool> writer_done{false};
   std::atomic<int> failures{0};
@@ -378,11 +378,11 @@ TEST(NetServer, GracefulShutdownDrainsInFlight) {
     DataGenOptions dg;
     dg.seed = 7;
     for (const Rect& r : GenerateData(500, dg)) batch.Insert(r);
-    ASSERT_TRUE(ts.index->ApplyBatch(batch).ok());
+    ASSERT_TRUE(ts.db->Apply(batch).ok());
   }
   // Cache misses now stall: a full-square window takes long enough for
   // Stop() to land while it is executing.
-  ts.pager->set_simulated_read_latency_us(2000);
+  ts.db->set_simulated_read_latency_us(2000);
 
   Client slow = ts.Connect();
   Client late = ts.Connect();
@@ -433,9 +433,9 @@ TEST(NetServer, BusyBackpressureUnderSaturation) {
     DataGenOptions dg;
     dg.seed = 11;
     for (const Rect& r : GenerateData(400, dg)) batch.Insert(r);
-    ASSERT_TRUE(ts.index->ApplyBatch(batch).ok());
+    ASSERT_TRUE(ts.db->Apply(batch).ok());
   }
-  ts.pager->set_simulated_read_latency_us(1000);
+  ts.db->set_simulated_read_latency_us(1000);
 
   auto sock = TcpConnect("127.0.0.1", ts.server->port());
   ASSERT_TRUE(sock.ok());
@@ -539,6 +539,57 @@ TEST(NetServer, MalformedPayloadKeepsConnectionUsable) {
   auto [err4, id4] = round_trip(BuildFrame(Opcode::kPing, 0, 45, {}));
   EXPECT_EQ(err4, WireError::kOk);
   EXPECT_EQ(id4, 45u);
+}
+
+// A KNN or POINT frame carrying a non-finite coordinate gets a typed
+// InvalidArgument reply instead of wedging a worker (the kNN search
+// never covered a NaN point), and the connection keeps answering.
+TEST(NetServer, NonFiniteQueryPointsAreRejected) {
+  TestServer ts;
+  Client client = ts.Connect();
+  WriteBatch batch;
+  for (int i = 0; i < 10; ++i) {
+    const double lo = 0.05 + 0.09 * i;
+    batch.Insert(Rect{lo, lo, lo + 0.04, lo + 0.04});
+  }
+  ASSERT_TRUE(client.Apply(batch).ok());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Point& p : {Point{nan, 0.5}, Point{inf, 0.5}, Point{0.5, -inf}}) {
+    const Status knn = client.Nearest(p, 1).status();
+    EXPECT_TRUE(knn.IsInvalidArgument()) << knn.ToString();
+    const Status point = client.Point(p).status();
+    EXPECT_TRUE(point.IsInvalidArgument()) << point.ToString();
+  }
+  EXPECT_TRUE(client.Ping().ok());
+  auto nn = client.Nearest(Point{0.5, 0.5}, 1);
+  ASSERT_TRUE(nn.ok()) << nn.status().ToString();
+  EXPECT_EQ(nn->hits.size(), 1u);
+}
+
+// STATS has one engine body for every shard count: a one-shard DB
+// reports shard_count 1, a one-entry shards array and the snapshot
+// aggregates (gc_cycles included).
+TEST(NetServer, SingleShardStatsHaveTheShardedShape) {
+  auto db = DB::Open("").value();
+  ServerOptions opt;
+  opt.idle_timeout_ms = 0;
+  Server server(db.get(), opt);
+  ASSERT_TRUE(server.Start().ok());
+  auto c = Client::ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  Client client = std::move(c).value();
+  ASSERT_TRUE(client.Apply(WriteBatch{}).ok());
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::string& json = stats.value();
+  EXPECT_NE(json.find("\"shard_count\":1"), std::string::npos) << json;
+  const size_t shards = json.find("\"shards\":[{\"shard\":0,");
+  ASSERT_NE(shards, std::string::npos) << json;
+  EXPECT_EQ(json.find("\"shard\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"gc_cycles\""), std::string::npos) << json;
 }
 
 TEST(NetServer, BadMagicClosesConnection) {

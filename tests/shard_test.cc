@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -129,10 +130,68 @@ TEST(ShardOpen, RejectsBadShardCounts) {
 }
 
 TEST(ShardOpen, RejectsPreassignedOidsInBatches) {
-  auto db = DB::Open("", MemShardOptions(4)).value();
-  WriteBatch batch;
-  batch.InsertWithOid(Rect{0.1, 0.1, 0.2, 0.2}, 7);
-  EXPECT_TRUE(db->Apply(batch).status().IsInvalidArgument());
+  // Preassigned oids belong to ApplyReplicated at every shard count.
+  for (uint32_t n : {1u, 4u}) {
+    auto db = DB::Open("", MemShardOptions(n)).value();
+    WriteBatch batch;
+    batch.InsertWithOid(Rect{0.1, 0.1, 0.2, 0.2}, 7);
+    EXPECT_TRUE(db->Apply(batch).status().IsInvalidArgument()) << n;
+  }
+}
+
+// --------------------------------------------------------- query arguments
+
+/// Argument validation is one path for every shard count. An inverted
+/// window masks to no shard at N=4, so without the up-front check it
+/// gathered an empty OK answer while N=1 rejected it.
+TEST(ShardQueryArgs, InvertedWindowsAreRejectedAtEveryShardCount) {
+  const Rect inverted{0.5, 0.5, 0.4, 0.6};
+  for (uint32_t n : {1u, 4u}) {
+    auto db = DB::Open("", MemShardOptions(n)).value();
+    ASSERT_TRUE(db->Insert(Rect{0.45, 0.45, 0.55, 0.55}).ok());
+    const Status window = db->Window(inverted).status();
+    EXPECT_TRUE(window.IsInvalidArgument()) << n << ": " << window.ToString();
+    EXPECT_EQ(window.message(), "invalid query window") << n;
+    EXPECT_TRUE(db->Containment(inverted).status().IsInvalidArgument()) << n;
+    auto exec = db->NewExecutor(2);
+    EXPECT_TRUE(
+        exec->ParallelWindowQuery(inverted).status().IsInvalidArgument())
+        << n;
+    EXPECT_TRUE(exec->WindowBatch({inverted}).status().IsInvalidArgument())
+        << n;
+    EXPECT_EQ(db->Window(Rect{0, 0, 1, 1}).value().size(), 1u) << n;
+  }
+}
+
+/// A point with a NaN or infinite coordinate has no grid cell, and no
+/// kNN search window ever covers it: both used to hang or hit undefined
+/// behaviour. They are rejected at every shard count, through the DB
+/// and the executor alike.
+TEST(ShardQueryArgs, NonFinitePointsAreRejectedAtEveryShardCount) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Point> bad = {{nan, 0.5}, {0.5, nan}, {inf, 0.5},
+                                  {0.5, -inf}};
+  for (uint32_t n : {1u, 4u}) {
+    auto db = DB::Open("", MemShardOptions(n)).value();
+    WriteBatch init;
+    for (int i = 0; i < 10; ++i) {
+      const double lo = 0.05 + 0.09 * i;
+      init.Insert(Rect{lo, lo, lo + 0.04, lo + 0.04});
+    }
+    ASSERT_TRUE(db->Apply(init).ok());
+    auto exec = db->NewExecutor(2);
+    for (const Point& p : bad) {
+      EXPECT_TRUE(db->Point(p).status().IsInvalidArgument()) << n;
+      const Status knn = db->Nearest(p, 1).status();
+      EXPECT_TRUE(knn.IsInvalidArgument()) << n << ": " << knn.ToString();
+      EXPECT_EQ(knn.message(), "non-finite query point") << n;
+      EXPECT_TRUE(exec->PointBatch({p}).status().IsInvalidArgument()) << n;
+      EXPECT_TRUE(exec->NearestBatch({p}, 1).status().IsInvalidArgument())
+          << n;
+    }
+    EXPECT_EQ(db->Nearest(Point{0.5, 0.5}, 1).value().size(), 1u) << n;
+  }
 }
 
 // ------------------------------------------------------------ oracle suite
@@ -323,6 +382,35 @@ TEST(ShardPersist, ManifestRoundTripAndRecovery) {
     // New inserts after two reopens continue the dense oid sequence.
     const ObjectId next = db->Insert(Rect{0.2, 0.2, 0.3, 0.3}).value();
     EXPECT_EQ(next, straddler + 1);
+  }
+}
+
+/// A reopened one-shard DB rebuilds the router's oid cursor and owner
+/// masks from its object store, like an N-shard one: old oids erase and
+/// new inserts continue the dense sequence.
+TEST(ShardPersist, SingleShardReopenRecoversRoutingState) {
+  TempShardedFile file;
+  {
+    auto db = DB::Open(file.path).value();
+    for (ObjectId i = 0; i < 5; ++i) {
+      const double lo = 0.1 + 0.15 * i;
+      ASSERT_EQ(db->Insert(Rect{lo, lo, lo + 0.05, lo + 0.05}).value(), i);
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    auto db = DB::Open(file.path).value();
+    EXPECT_EQ(db->shards(), 1u);
+    EXPECT_EQ(db->object_count(), 5u);
+    ASSERT_TRUE(db->Erase(2).ok());
+    EXPECT_TRUE(db->Erase(2).IsNotFound());
+    EXPECT_EQ(db->Insert(Rect{0.2, 0.6, 0.3, 0.7}).value(), 5u);
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    auto db = DB::Open(file.path).value();
+    EXPECT_EQ(db->object_count(), 5u);
+    EXPECT_EQ(db->Insert(Rect{0.6, 0.2, 0.7, 0.3}).value(), 6u);
   }
 }
 

@@ -521,19 +521,26 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
   const Workload w = MakeWorkload(seed, SnapshotShape());
 
-  auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 128);
-  auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
-  const uint64_t base = index->write_epoch();
+  DBOptions opt;  // in-memory, unjournaled, snapshot reads on
+  opt.index.data = DecomposeOptions::SizeBound(8);
+  opt.page_size = 512;
+  opt.cache_pages = 128;
+  auto db = DB::Open("", opt).value();
+  for (size_t i = 0; i < w.initial.size(); ++i) {
+    EXPECT_EQ(db->Insert(w.initial[i]).value(), static_cast<ObjectId>(i));
+  }
+  SpatialIndex* index = db->index();
+  ASSERT_TRUE(index->snapshots_enabled());
+  const uint64_t base = db->write_epoch();
 
-  QueryExecutor exec(index.get(), 4);
+  auto exec_owner = db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   std::atomic<bool> writer_done{false};
   std::atomic<int> failures{0};
 
   std::thread writer([&] {
     for (const WriteBatch& batch : w.batches) {
-      if (!index->ApplyBatch(batch).ok()) {
+      if (!db->Apply(batch).ok()) {
         ++failures;
         break;
       }

@@ -32,6 +32,7 @@
 #include "workload/datagen.h"
 #include "workload/querygen.h"
 #include "workload/seed.h"
+#include "zdb/db.h"
 
 namespace zdb {
 namespace {
@@ -64,6 +65,21 @@ std::unique_ptr<SpatialIndex> BuildIndex(BufferPool* pool,
   return index;
 }
 
+/// BuildIndex's twin behind the DB facade: in-memory, unjournaled,
+/// latched reads, 512-byte pages, a 256-frame cache.
+std::unique_ptr<DB> BuildDB(const Workload& w) {
+  DBOptions opt;
+  opt.index.data = DecomposeOptions::SizeBound(8);
+  opt.page_size = 512;
+  opt.cache_pages = 256;
+  opt.snapshot_reads = false;
+  auto db = DB::Open("", opt).value();
+  for (size_t i = 0; i < w.initial.size(); ++i) {
+    EXPECT_EQ(db->Insert(w.initial[i]).value(), static_cast<ObjectId>(i));
+  }
+  return db;
+}
+
 // ---------------------------------------------------------------- tests
 
 // Executor mixed mode: write batches on the dedicated writer thread,
@@ -74,13 +90,13 @@ TEST(StressMixed, ExecutorMixedWorkloadMatchesOracleAtEveryEpoch) {
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
   const Workload w = MakeWorkload(seed);
 
-  auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 256);
-  auto index = BuildIndex(&pool, w);
+  auto db = BuildDB(w);
+  SpatialIndex* index = db->index();
   // Epochs 0.. are counted from here: setup inserts bumped the counter.
-  const uint64_t base = index->write_epoch();
+  const uint64_t base = db->write_epoch();
 
-  QueryExecutor exec(index.get(), 4);
+  auto exec_owner = db->NewExecutor(4);
+  QueryExecutor& exec = *exec_owner;
   std::vector<MixedRound> rounds(w.batches.size());
   for (size_t b = 0; b < w.batches.size(); ++b) {
     rounds[b].writes = w.batches[b];
