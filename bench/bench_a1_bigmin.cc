@@ -7,7 +7,6 @@
 // element scan without skipping; fine decomposition and BIGMIN land in
 // the same ballpark (they skip the same dead space by different means).
 
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -56,7 +55,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kDiagonal, zdb::Distribution::kClusters}) {
     zdb::RunDistribution(d, n);

@@ -6,7 +6,6 @@
 // scans, each costing at least a root-to-leaf descent. Expected shape:
 // an interior optimum, typically at a handful of query elements.
 
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -56,7 +55,7 @@ void RunDistribution(Distribution dist, size_t n, double selectivity) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   zdb::RunDistribution(zdb::Distribution::kClusters, n, 0.01);
   zdb::RunDistribution(zdb::Distribution::kUniformSmall, n, 0.01);
   return 0;

@@ -111,7 +111,7 @@ void Run(size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 10000, "[objects]");
   zdb::Run(n);
   return 0;
 }

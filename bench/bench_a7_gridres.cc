@@ -8,7 +8,6 @@
 // until cells shrink below the typical object, then flattens.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -53,7 +52,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kUniformSmall, zdb::Distribution::kClusters}) {
     zdb::RunDistribution(d, n);

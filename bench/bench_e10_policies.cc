@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -115,7 +114,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 15000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 15000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kUniformLarge, zdb::Distribution::kSkewedSizes}) {
     zdb::RunDistribution(d, n);

@@ -102,7 +102,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kUniformSmall, zdb::Distribution::kUniformLarge,
         zdb::Distribution::kDiagonal}) {

@@ -3,37 +3,34 @@
 // E13: mixed read/write throughput. A single writer applies batched
 // inserts + erases through the DB's router while the executor's
 // worker pool answers window, point and kNN queries — the
-// QueryExecutor::MixedWorkload mode. Because mutations take the index
-// latch exclusively, writer sections serialize with readers; the
-// question this experiment answers is how much read throughput survives
-// a concurrent write stream, in the two usual regimes:
+// QueryExecutor::MixedWorkload mode. Queries read pinned snapshots and
+// never wait for the writer; the question this experiment answers is
+// how much read throughput survives a concurrent write stream (which
+// competes for CPU, cache and buffer-pool frames), in the two usual
+// regimes:
 //
 //   * warm — pool holds the whole index; queries are pure CPU, so the
-//     writer steals latch time but no I/O bandwidth.
+//     writer steals CPU time but no I/O bandwidth.
 //   * I/O-bound — small pool plus simulated per-read device latency;
-//     reader threads overlap their stalls, and writer sections inject
-//     latch pauses into that overlap.
+//     reader threads overlap their stalls, and the writer's page misses
+//     add to them.
 //
 // Read-only throughput at the same thread count is reported as the
 // baseline, so the last column is the fraction of read throughput
 // retained when the write stream is switched on.
 //
-// The second phase measures the epoch-pinned snapshot read path against
-// the latched baseline: per-query reader latency (p50/p99) with and
-// without a sustained writer stream, at growing reader counts. With the
-// latch, every writer section stalls all readers (and a long scan
-// stalls the writer); with snapshots, readers pin an epoch and traverse
-// copy-on-write page versions latch-free. The phase closes with the
-// parked-pin experiment: writer batch throughput while a long-lived pin
-// is held open, versus unpinned — with snapshots this must be a wash,
-// where a parked latched reader section would have stopped the writer
-// entirely.
+// The second phase measures the snapshot read path: per-query reader
+// latency (p50/p99) with and without a sustained writer stream, at
+// growing reader counts. Readers pin an epoch and read the committed
+// page buffers (or their before-images) latch-free. The phase closes
+// with the parked-pin experiment: writer batch throughput while a
+// long-lived pin is held open, versus unpinned — this must be a wash,
+// since a pin only delays version reclamation.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -190,8 +187,7 @@ struct ReadSample {
 };
 
 /// `threads` readers each issue kSnapReadsPerThread window queries
-/// through the public API (latched ReaderSection before
-/// EnableSnapshots(), auto-pinned snapshot read after), timing each
+/// through the public API (each auto-pins a snapshot), timing each
 /// query individually.
 ReadSample MeasureReaders(SpatialIndex* index, const std::vector<Rect>& windows,
                           size_t threads) {
@@ -260,61 +256,48 @@ void RunSnapshotPhase(size_t n) {
   const auto windows = GenerateWindows(kSnapWindows, kSelectivity, qopt);
 
   Table table(
-      "E13 snapshot reads vs latched baseline — uniform-large (" +
+      "E13 snapshot reads — uniform-large (" +
           std::to_string(n) + " objects; " +
           std::to_string(kSnapReadsPerThread) +
           " window queries/reader; churn writer: " +
           std::to_string(kSnapChurnBatch) + " erase+insert pairs/batch)",
-      {"mode", "readers", "quiet p50 us", "quiet p99 us", "churn p50 us",
+      {"readers", "quiet p50 us", "quiet p99 us", "churn p50 us",
        "churn p99 us", "churn read q/s", "writer batch/s"});
 
-  double latched_qps8 = 0.0, snapshot_qps8 = 0.0;
-  for (const bool snap : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      Env env = MakeEnv(kBenchPageSize, 8192);
-      auto index = BuildZIndex(&env, data, opt).value();
-      if (snap && !index->EnableSnapshots().ok()) std::abort();
+  for (size_t threads : kThreadCounts) {
+    Env env = MakeEnv(kBenchPageSize, 8192);
+    auto index = BuildZIndex(&env, data, opt).value();
 
-      ReadSample quiet = MeasureReaders(index.get(), windows, threads);
+    ReadSample quiet = MeasureReaders(index.get(), windows, threads);
 
-      std::atomic<bool> stop{false};
-      std::atomic<uint64_t> applied{0};
-      std::thread writer([&] {
-        Churn(index.get(), n, extra, &stop, 0, &applied);
-      });
-      const uint64_t b0 = applied.load();
-      ReadSample churn = MeasureReaders(index.get(), windows, threads);
-      const uint64_t b1 = applied.load();
-      stop.store(true);
-      writer.join();
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> applied{0};
+    std::thread writer([&] {
+      Churn(index.get(), n, extra, &stop, 0, &applied);
+    });
+    const uint64_t b0 = applied.load();
+    ReadSample churn = MeasureReaders(index.get(), windows, threads);
+    const uint64_t b1 = applied.load();
+    stop.store(true);
+    writer.join();
 
-      const double qps = static_cast<double>(churn.lat_us.size()) / churn.wall;
-      if (threads == 8) (snap ? snapshot_qps8 : latched_qps8) = qps;
-      table.AddRow({snap ? "snapshot" : "latched", std::to_string(threads),
-                    Fmt(Percentile(quiet.lat_us, 0.50), 1),
-                    Fmt(Percentile(quiet.lat_us, 0.99), 1),
-                    Fmt(Percentile(churn.lat_us, 0.50), 1),
-                    Fmt(Percentile(churn.lat_us, 0.99), 1), Fmt(qps, 0),
-                    Fmt(static_cast<double>(b1 - b0) / churn.wall, 1)});
-    }
+    const double qps = static_cast<double>(churn.lat_us.size()) / churn.wall;
+    table.AddRow({std::to_string(threads),
+                  Fmt(Percentile(quiet.lat_us, 0.50), 1),
+                  Fmt(Percentile(quiet.lat_us, 0.99), 1),
+                  Fmt(Percentile(churn.lat_us, 0.50), 1),
+                  Fmt(Percentile(churn.lat_us, 0.99), 1), Fmt(qps, 0),
+                  Fmt(static_cast<double>(b1 - b0) / churn.wall, 1)});
   }
   table.Print();
-  if (latched_qps8 > 0.0) {
-    std::printf(
-        "  snapshot vs latched read throughput under churn @ 8 readers: "
-        "%.2fx\n",
-        snapshot_qps8 / latched_qps8);
-  }
 
   // Parked-pin writer progress: a long-lived pin parked at the base
   // epoch must not slow the write stream (it only delays version
-  // reclamation). A parked *latched* reader section would stop the
-  // writer outright, so this is snapshot-mode only.
+  // reclamation).
   double unpinned_s = 0.0, parked_s = 0.0;
   {
     Env env = MakeEnv(kBenchPageSize, 8192);
     auto index = BuildZIndex(&env, data, opt).value();
-    if (!index->EnableSnapshots().ok()) std::abort();
     std::atomic<uint64_t> applied{0};
     unpinned_s = SecondsOf(
         [&] { Churn(index.get(), n, extra, nullptr, kSnapParkedBatches,
@@ -323,7 +306,6 @@ void RunSnapshotPhase(size_t n) {
   {
     Env env = MakeEnv(kBenchPageSize, 8192);
     auto index = BuildZIndex(&env, data, opt).value();
-    if (!index->EnableSnapshots().ok()) std::abort();
     const EpochPin pin = index->PinEpoch();
     std::atomic<uint64_t> applied{0};
     parked_s = SecondsOf(
@@ -344,7 +326,7 @@ void RunSnapshotPhase(size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kUniformLarge, zdb::Distribution::kClusters}) {
     zdb::RunDistribution(d, n);

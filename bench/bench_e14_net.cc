@@ -581,16 +581,13 @@ void RunConnectionHorde(size_t total, size_t procs) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t max_readers =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8;
-  const size_t horde =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 10000;
+  constexpr const char* kUsage = "[max_readers] [horde_connections]";
+  const size_t max_readers = zdb::CountArg(argc, argv, 1, 8, kUsage);
+  const size_t horde = zdb::CountArg(argc, argv, 2, 10000, kUsage);
 
   // First, while this process is still single-threaded (fork safety —
   // see RunConnectionHorde): the many-idle-connections phase.
-  if (horde > 0) {
-    zdb::RunConnectionHorde(horde, /*procs=*/5);
-  }
+  zdb::RunConnectionHorde(horde, /*procs=*/5);
 
   const zdb::Workload w = zdb::MakeWorkload();
   zdb::Table table(

@@ -8,7 +8,6 @@
 // falls steeply with the first few extra elements, and index pages grow
 // roughly linearly with redundancy.
 
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -57,7 +56,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d : zdb::kAllDistributions) {
     zdb::RunDistribution(d, n);
   }

@@ -7,7 +7,6 @@
 // results. Expected shape: false hits fall steeply with k while
 // duplicates rise slowly — the net being the E4 crossover.
 
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -53,7 +52,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kUniformLarge, zdb::Distribution::kClusters,
         zdb::Distribution::kDiagonal}) {

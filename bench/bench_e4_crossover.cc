@@ -8,7 +8,6 @@
 // minimum at moderate redundancy, rising on both sides.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -61,7 +60,7 @@ void RunDistribution(Distribution dist, size_t n, double selectivity) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   zdb::RunDistribution(zdb::Distribution::kUniformLarge, n, 0.01);
   zdb::RunDistribution(zdb::Distribution::kDiagonal, n, 0.01);
   zdb::RunDistribution(zdb::Distribution::kClusters, n, 0.001);

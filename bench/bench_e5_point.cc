@@ -8,7 +8,6 @@
 // (huge elements enclose every point); moderate k wins; very large k adds
 // levels to probe with little gain.
 
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -48,7 +47,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d :
        {zdb::Distribution::kUniformLarge, zdb::Distribution::kSkewedSizes,
         zdb::Distribution::kDiagonal}) {

@@ -12,7 +12,6 @@
 // moderate redundancy is competitive with the R-tree; the +leafmbr
 // variant closes most of the remaining gap.
 
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -102,7 +101,7 @@ void RunDistribution(Distribution dist, size_t n) {
 }  // namespace zdb
 
 int main(int argc, char** argv) {
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 20000, "[objects]");
   for (zdb::Distribution d : zdb::kAllDistributions) {
     zdb::RunDistribution(d, n);
   }

@@ -9,7 +9,6 @@
 // objects are so large that every query touches them anyway.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
@@ -36,7 +35,7 @@ std::vector<Rect> FixedSizeRects(size_t n, double edge, uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace zdb;
-  const size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 15000;
+  const size_t n = zdb::CountArg(argc, argv, 1, 15000, "[objects]");
   const auto queries = GenerateWindows(kQueries, 0.01, QueryGenOptions{});
 
   Table table("E9 object size vs optimal redundancy (uniform squares, 1% "

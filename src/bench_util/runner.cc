@@ -2,6 +2,11 @@
 
 #include "bench_util/runner.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+
 namespace zdb {
 
 Env MakeEnv(uint32_t page_size, size_t pool_pages) {
@@ -54,7 +59,6 @@ Result<std::unique_ptr<DB>> BuildZDB(const std::vector<Rect>& data,
   opt.index = options;
   opt.page_size = kBenchPageSize;
   opt.cache_pages = cache_pages;
-  opt.snapshot_reads = false;
   std::unique_ptr<DB> db;
   ZDB_ASSIGN_OR_RETURN(db, DB::Open("", opt));
   const IoStats snap = db->io_stats();
@@ -172,6 +176,39 @@ Result<RunResult> RunRTreePointQueries(Env* env, RTree* tree,
                     *results = r.value().size();
                     return Status::OK();
                   });
+}
+
+Result<size_t> ParseCount(const char* arg) {
+  if (arg == nullptr || *arg == '\0') {
+    return Status::InvalidArgument("empty count");
+  }
+  size_t v = 0;
+  for (const char* c = arg; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') {
+      return Status::InvalidArgument("'" + std::string(arg) +
+                                     "' is not a decimal count");
+    }
+    const size_t digit = static_cast<size_t>(*c - '0');
+    if (v > (std::numeric_limits<size_t>::max() - digit) / 10) {
+      return Status::InvalidArgument("count '" + std::string(arg) +
+                                     "' overflows");
+    }
+    v = v * 10 + digit;
+  }
+  if (v == 0) return Status::InvalidArgument("count must be positive");
+  return v;
+}
+
+size_t CountArg(int argc, char** argv, int i, size_t fallback,
+                const char* usage) {
+  if (argc <= i) return fallback;
+  auto r = ParseCount(argv[i]);
+  if (!r.ok()) {
+    std::fprintf(stderr, "usage: %s %s\n  argument %d: %s\n", argv[0],
+                 usage, i, r.status().ToString().c_str());
+    std::exit(2);
+  }
+  return r.value();
 }
 
 }  // namespace zdb

@@ -71,7 +71,7 @@ Result<std::unique_ptr<SpatialIndex>> BuildZIndex(
     Env* env, const std::vector<Rect>& data,
     const SpatialIndexOptions& options, BuildResult* build = nullptr);
 
-/// Opens an in-memory zdb::DB (no journal, latched reads,
+/// Opens an in-memory zdb::DB (no journal,
 /// kBenchPageSize pages, a `cache_pages`-frame cache) and inserts `data`
 /// one object at a time (ids 0..n-1), measuring insertion I/O like
 /// BuildZIndex. The executor and server experiments (E12–E14) build
@@ -114,6 +114,18 @@ Result<RunResult> RunRTreeWindowQueries(Env* env, RTree* tree,
 /// Runs point queries against an R-tree, cold cache per query.
 Result<RunResult> RunRTreePointQueries(Env* env, RTree* tree,
                                        const std::vector<Point>& points);
+
+/// Parses a count argument: a positive decimal integer that fits in
+/// size_t. Empty input, anything but digits (signs and spaces too),
+/// trailing garbage, zero and overflow are InvalidArgument.
+[[nodiscard]] Result<size_t> ParseCount(const char* arg);
+
+/// argv[i] parsed by ParseCount, or `fallback` when the argument is
+/// absent. A malformed argument prints "usage: <argv[0]> <usage>" and
+/// the reason to stderr and exits with code 2, so a typo can never run
+/// an experiment on a zero-sized input.
+size_t CountArg(int argc, char** argv, int i, size_t fallback,
+                const char* usage);
 
 }  // namespace zdb
 

@@ -302,10 +302,11 @@ Status BTree::SplitInternal(Node* node, const Slice& key, PageId child,
 
 Result<std::string> BTree::Get(const Slice& key) {
   const uint32_t page_size = pool_->pager()->page_size();
-  PageId page = ReadRoot();
+  const SnapshotView* view = SnapshotView::FindBTree(this);
+  PageId page = ReadRoot(view);
   for (;;) {
     PageRef ref;
-    ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(page));
+    ZDB_ASSIGN_OR_RETURN(ref, pool_->FetchAt(view, page));
     Node node(std::move(ref), page_size);
     if (node.is_leaf()) {
       uint16_t idx = node.LowerBound(key);
@@ -320,14 +321,15 @@ Result<std::string> BTree::Get(const Slice& key) {
 
 Result<Cursor> BTree::Seek(const Slice& key) {
   const uint32_t page_size = pool_->pager()->page_size();
-  PageId page = ReadRoot();
+  const SnapshotView* view = SnapshotView::FindBTree(this);
+  PageId page = ReadRoot(view);
   for (;;) {
     PageRef ref;
-    ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(page));
+    ZDB_ASSIGN_OR_RETURN(ref, pool_->FetchAt(view, page));
     Node node(std::move(ref), page_size);
     if (node.is_leaf()) {
       const uint16_t idx = node.LowerBound(key);
-      Cursor cur(pool_, page_size);
+      Cursor cur(pool_, page_size, view);
       ZDB_RETURN_IF_ERROR(cur.PositionAt(std::move(node), idx));
       return cur;
     }

@@ -138,15 +138,12 @@ class BTree {
   Status LoadMeta();
   Status StoreMeta();
 
-  /// Root for the read path: the pinned snapshot's root when this tree
-  /// is running under an installed SnapshotView (page reads then
-  /// resolve through the version chains via BufferPool::Fetch), the
+  /// Root for the read path: the pinned snapshot's root when `view`
+  /// (the installed SnapshotView covering this tree, if any) is set —
+  /// page reads then resolve at its epoch via BufferPool::FetchAt — the
   /// live root otherwise.
-  PageId ReadRoot() const {
-    if (const SnapshotView* v = SnapshotView::FindBTree(this)) {
-      return v->meta->btree_root;
-    }
-    return root_;
+  PageId ReadRoot(const SnapshotView* view) const {
+    return view != nullptr ? view->meta->btree_root : root_;
   }
 
   Status CheckRec(PageId page, uint32_t depth,

@@ -16,7 +16,7 @@ Status Cursor::SkipEmptyForward() {
     node_.reset();
     if (next == kInvalidPageId) break;
     PageRef ref;
-    ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(next));
+    ZDB_ASSIGN_OR_RETURN(ref, pool_->FetchAt(view_, next));
     node_.emplace(std::move(ref), page_size_);
     idx_ = 0;
   }

@@ -19,8 +19,12 @@ namespace zdb {
 
 class Cursor {
  public:
-  Cursor(BufferPool* pool, uint32_t page_size)
-      : pool_(pool), page_size_(page_size) {}
+  /// `view` is the snapshot view the cursor's pages resolve under
+  /// (BufferPool::FetchAt), or nullptr for live reads; it must outlive
+  /// the cursor.
+  Cursor(BufferPool* pool, uint32_t page_size,
+         const SnapshotView* view = nullptr)
+      : pool_(pool), page_size_(page_size), view_(view) {}
 
   Cursor(Cursor&&) = default;
   Cursor& operator=(Cursor&&) = default;
@@ -48,6 +52,7 @@ class Cursor {
 
   BufferPool* pool_;
   uint32_t page_size_;
+  const SnapshotView* view_;
   std::optional<Node> node_;
   uint16_t idx_ = 0;
 };

@@ -252,15 +252,13 @@ Status SpatialIndex::RollbackGroupLocked(const Status& cause) {
   // reload's quiesce barrier drops, a pinned reader must not be able to
   // open a snapshot at an epoch whose published state was just reloaded
   // away — MetaAt answers Aborted for the range from here on.
-  if (snapshots_enabled()) {
-    uint64_t lo, hi;
-    {
-      MutexLock gl(gc_mu_);
-      lo = gc_durable_;
-      hi = gc_published_;
-    }
-    epoch_mgr_->InvalidateRange(lo, hi, cause);
+  uint64_t lo, hi;
+  {
+    MutexLock gl(gc_mu_);
+    lo = gc_durable_;
+    hi = gc_published_;
   }
+  epoch_mgr_->InvalidateRange(lo, hi, cause);
   Pager* pager = pool_->pager();
   Status undo = pager->in_batch() ? pager->AbortBatch() : Status::OK();
   if (undo.ok()) {

@@ -31,31 +31,9 @@ void PopNonEnclosing(std::vector<StackEntry>* stack, const ZElement& e) {
   }
 }
 
-}  // namespace
-
-Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
+/// The merge and refinement, run under snapshot scopes of both indexes.
+Result<std::vector<std::pair<ObjectId, ObjectId>>> MergeJoin(
     SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
-  // Reader sections on both indexes for the whole merge, acquired in
-  // address order so two joins over the same pair cannot deadlock
-  // against waiting writers. Self-joins take a single section.
-  //
-  // The join deliberately stays on the latched path even when the
-  // indexes have snapshot reads enabled: a consistent two-index merge
-  // would need one pin per index plus a nested snapshot view per
-  // stream, and the merge's correctness only needs each index frozen
-  // for the scan — which the shared sections provide (writers still
-  // latch exclusively with snapshots on). Joins are analytic
-  // whole-index scans; the latch-free fast path targets the point /
-  // window / kNN serving queries.
-  SpatialIndex* first = a < b ? a : b;
-  SpatialIndex* second = a < b ? b : a;
-  auto lock_first = first->ReaderSection();
-  auto lock_second = first == second ? ReaderLatch() : second->ReaderSection();
-  if (a->options().grid_bits != b->options().grid_bits ||
-      !(a->options().world == b->options().world)) {
-    return Status::InvalidArgument(
-        "joined indexes must share grid resolution and world bounds");
-  }
   const uint32_t gbits = a->options().grid_bits;
 
   Cursor ca(a->pool(), a->pool()->pager()->page_size());
@@ -137,6 +115,37 @@ Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
   }
   if (stats != nullptr) stats->results = results.size();
   return results;
+}
+
+/// One pin and one snapshot scope per index for the whole merge, so
+/// each stream reads one committed state of its index. A self-join
+/// reads both streams under one scope.
+Result<std::vector<std::pair<ObjectId, ObjectId>>> JoinAtFreshPins(
+    SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
+  EpochPin pin_a = a->PinEpoch();
+  EpochPin pin_b;
+  if (b != a) pin_b = b->PinEpoch();
+  std::unique_ptr<SpatialIndex::SnapshotReadScope> scope_a, scope_b;
+  ZDB_ASSIGN_OR_RETURN(scope_a, a->OpenSnapshot(pin_a));
+  if (b != a) ZDB_ASSIGN_OR_RETURN(scope_b, b->OpenSnapshot(pin_b));
+  return MergeJoin(a, b, stats);
+}
+
+}  // namespace
+
+Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
+    SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
+  if (a->options().grid_bits != b->options().grid_bits ||
+      !(a->options().world == b->options().world)) {
+    return Status::InvalidArgument(
+        "joined indexes must share grid resolution and world bounds");
+  }
+  // A group rollback can invalidate a pinned epoch (Aborted): re-pin
+  // both indexes and retry, as the single-index reads do.
+  for (int attempt = 0;; ++attempt) {
+    auto r = JoinAtFreshPins(a, b, stats);
+    if (r.ok() || !r.status().IsAborted() || attempt >= 2) return r;
+  }
 }
 
 }  // namespace zdb

@@ -62,7 +62,7 @@ Status ObjectStore::InsertAt(ObjectId oid, const Rect& mbr,
 Result<ObjectRecord> ObjectStore::Fetch(ObjectId oid) {
   // Under an installed snapshot view, resolve through the pinned meta:
   // the live directory/append cursor may already describe later epochs.
-  // The page fetch below then goes through the version chains.
+  // The page fetch below then resolves at the view's epoch.
   const SnapshotView* v = SnapshotView::FindObjects(this);
   const uint32_t next_oid = v != nullptr ? v->meta->obj_next_oid : next_oid_;
   const std::vector<PageId>& pages =
@@ -74,7 +74,7 @@ Result<ObjectRecord> ObjectStore::Fetch(ObjectId oid) {
     return Status::NotFound("oid in unallocated page");
   }
   PageRef ref;
-  ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(pages[page_idx]));
+  ZDB_ASSIGN_OR_RETURN(ref, pool_->FetchAt(v, pages[page_idx]));
   return ObjectRecord::DecodeFrom(ref.data() +
                                   slot * ObjectRecord::kEncodedSize);
 }

@@ -192,11 +192,10 @@ Result<PageId> SpatialIndex::CheckpointLocked() {
 
 Status SpatialIndex::ReloadLocked() {
   // Quiesce snapshot readers first: they hold no latch, but a pinned
-  // read may be mid-flight with a transient buffer-pool pin (which
-  // would fail the Discard below) or mid-dereference of the handles
-  // this reload reseats. The barrier waits those out and blocks new
-  // snapshot scopes until the reload finishes; the caller's exclusive
-  // latch keeps latched readers out as before.
+  // read may be mid-dereference of the handles this reload reseats (the
+  // page buffers it holds stay valid across the Discard below). The
+  // barrier waits those reads out and blocks new snapshot scopes until
+  // the reload finishes.
   BeginSnapshotQuiesce();
   Status st = ReloadUnquiescedLocked();
   EndSnapshotQuiesce();
@@ -308,6 +307,7 @@ Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Open(BufferPool* pool,
   index->master_page_ = master_page;
   index->obj_dir_chain_ = obj_chain;
   index->poly_dir_chain_ = poly_chain;
+  index->StartSnapshotsLocked();
   return index;
 }
 

@@ -81,7 +81,7 @@ Result<PolyRef> PolygonStore::Insert(const Polygon& poly) {
 
 Result<Polygon> PolygonStore::Fetch(PolyRef ref) {
   // Snapshot reads resolve the page directory through the pinned meta
-  // (see ObjectStore::Fetch); page bytes then come from the chains.
+  // (see ObjectStore::Fetch); page bytes then resolve at its epoch.
   const SnapshotView* v = SnapshotView::FindPolygons(this);
   const std::vector<PageId>& pages =
       v != nullptr ? v->meta->poly_pages : pages_;
@@ -91,7 +91,7 @@ Result<Polygon> PolygonStore::Fetch(PolyRef ref) {
     return Status::NotFound("polygon page out of range");
   }
   PageRef page;
-  ZDB_ASSIGN_OR_RETURN(page, pool_->Fetch(pages[page_idx]));
+  ZDB_ASSIGN_OR_RETURN(page, pool_->FetchAt(v, pages[page_idx]));
   const char* p = page.data();
   const uint16_t count = DecodeFixed16(p);
   if (slot >= count) return Status::NotFound("polygon slot out of range");

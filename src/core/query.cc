@@ -196,6 +196,8 @@ Result<std::vector<ObjectId>> SpatialIndex::CollectCandidatesFiltered(
 }
 
 Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
+  ZDB_RETURN_IF_ERROR(CheckSnapshotScope("PlanWindow"));
+  SnapshotSection section(this);
   ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
   WindowPlan plan = BuildWindowPlan(mapper_.ToGrid(window));
   plan.window = window;
@@ -204,6 +206,8 @@ Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
 
 Result<std::vector<ObjectId>> SpatialIndex::ExecuteWindowPlanSlice(
     const WindowPlan& plan, size_t begin, size_t end, QueryStats* stats) {
+  ZDB_RETURN_IF_ERROR(CheckSnapshotScope("ExecuteWindowPlanSlice"));
+  SnapshotSection section(this);
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return mbr.Intersects(plan.window);
   };
@@ -216,20 +220,24 @@ Result<std::vector<ObjectId>> SpatialIndex::CollectPointCandidates(
 }
 
 Result<std::vector<uint64_t>> SpatialIndex::LevelHistogram() {
-  SharedSection lock(this);
-  std::vector<uint64_t> histogram(2 * options_.grid_bits + 1, 0);
-  Cursor cur(pool_, pool_->pager()->page_size());
-  ZDB_ASSIGN_OR_RETURN(cur, btree_->SeekFirst());
-  while (cur.Valid()) {
-    ZElement elem;
-    ObjectId oid;
-    if (!DecodeZKey(cur.key(), options_.grid_bits, &elem, &oid)) {
-      return Status::Corruption("malformed index key");
+  using Histogram = std::vector<uint64_t>;
+  return AtFreshPin([&](const EpochPin& pin) -> Result<Histogram> {
+    std::unique_ptr<SnapshotReadScope> scope;
+    ZDB_ASSIGN_OR_RETURN(scope, OpenSnapshot(pin));
+    Histogram histogram(2 * options_.grid_bits + 1, 0);
+    Cursor cur(pool_, pool_->pager()->page_size());
+    ZDB_ASSIGN_OR_RETURN(cur, btree_->SeekFirst());
+    while (cur.Valid()) {
+      ZElement elem;
+      ObjectId oid;
+      if (!DecodeZKey(cur.key(), options_.grid_bits, &elem, &oid)) {
+        return Status::Corruption("malformed index key");
+      }
+      ++histogram[elem.level];
+      ZDB_RETURN_IF_ERROR(cur.Next());
     }
-    ++histogram[elem.level];
-    ZDB_RETURN_IF_ERROR(cur.Next());
-  }
-  return histogram;
+    return histogram;
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::CollectPointCandidatesFiltered(

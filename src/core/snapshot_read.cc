@@ -1,7 +1,7 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// The SpatialIndex half of epoch-based snapshot reads: enabling the
-// feature, pinning epochs, opening per-thread snapshot scopes and the
+// The SpatialIndex half of epoch-based snapshot reads: starting the
+// version GC, pinning epochs, opening per-thread snapshot scopes and the
 // pinned (*At) query variants. The version chains live in
 // storage/snapshot.{h,cc}; pin accounting and the reclamation thread in
 // core/epoch.{h,cc}. See DESIGN.md "Snapshot reads & epoch GC" for the
@@ -9,30 +9,26 @@
 
 #include "core/spatial_index.h"
 
+#include <string>
+
 namespace zdb {
 
-Status SpatialIndex::EnableSnapshots() {
-  MutexLock commit(commit_mu_);
-  WriterSection lock(this);
-  if (snapshots_on_.load(std::memory_order_relaxed)) return Status::OK();
-  epoch_mgr_ =
-      std::make_unique<EpochManager>(&write_epoch_, pool_->versions());
+void SpatialIndex::StartSnapshotsLocked() {
   // The current state is the first pinned-readable epoch: a pin taken
-  // right after this call returns must find its meta.
+  // right after Create()/Open() returns must find its meta.
   epoch_mgr_->RecordMeta(write_epoch(), CaptureMetaLocked());
-  snapshots_on_.store(true, std::memory_order_release);
-  // This writer section was entered before the flag flipped, so arm
-  // copy-on-write by hand; every later WriterSection arms itself.
-  pool_->ArmVersioning(write_epoch() + 1);
   epoch_mgr_->StartGc();
-  return Status::OK();
 }
 
-EpochPin SpatialIndex::PinEpoch() const {
-  if (!snapshots_enabled()) {
-    internal::LockAssertFail("PinEpoch() before EnableSnapshots()");
+EpochPin SpatialIndex::PinEpoch() const { return epoch_mgr_->Pin(); }
+
+Status SpatialIndex::CheckSnapshotScope(const char* hook) const {
+  if (SnapshotView::FindOwner(this) == nullptr) {
+    return Status::InvalidArgument(
+        std::string(hook) +
+        " needs a SnapshotReadScope of this index (OpenSnapshot)");
   }
-  return epoch_mgr_->Pin();
+  return Status::OK();
 }
 
 SnapshotMeta SpatialIndex::CaptureMetaLocked() const {
@@ -51,8 +47,7 @@ SnapshotView SpatialIndex::MakeView(
     uint64_t epoch, std::shared_ptr<const SnapshotMeta> meta) const {
   SnapshotView v;
   v.epoch = epoch;
-  v.versions = pool_->versions();
-  v.pool = pool_;
+  v.versions = &versions_;
   v.owner = this;
   v.btree = btree_.get();
   v.objects = store_.get();
@@ -63,9 +58,6 @@ SnapshotView SpatialIndex::MakeView(
 
 Result<std::shared_ptr<const SnapshotMeta>> SpatialIndex::PinnedMeta(
     const EpochPin& pin) const {
-  if (!snapshots_enabled()) {
-    return Status::InvalidArgument("snapshots not enabled on this index");
-  }
   return epoch_mgr_->MetaAt(pin.epoch());
 }
 
@@ -171,14 +163,10 @@ SpatialIndex::NearestNeighborsAt(const EpochPin& pin, const Point& p,
 
 // --------------------------------------------------------------- stats
 
-EpochStats SpatialIndex::epoch_stats() const {
-  // epoch_mgr_ is set once, before concurrent use (EnableSnapshots is
-  // part of index setup) — a monitor read here needs no lock.
-  return epoch_mgr_ != nullptr ? epoch_mgr_->stats() : EpochStats{};
-}
+EpochStats SpatialIndex::epoch_stats() const { return epoch_mgr_->stats(); }
 
 PageVersionStats SpatialIndex::version_stats() const {
-  return pool_->versions()->stats();
+  return versions_.stats();
 }
 
 // ---------------------------------------------- view-aware index state

@@ -2,8 +2,6 @@
 
 #include "core/spatial_index.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <unordered_set>
 #include <vector>
@@ -28,90 +26,9 @@ Status CheckQueryPoint(const Point& p) {
   return Status::OK();
 }
 
-#ifndef NDEBUG
-namespace internal {
-namespace {
-// Stack (not set): SpatialJoin legitimately holds sections on two
-// different indexes at once, so membership must be per-index.
-thread_local std::vector<const void*> t_shared_held;
-}  // namespace
-
-void NoteSharedAcquired(const void* index) {
-  t_shared_held.push_back(index);
-}
-
-void NoteSharedReleased(const void* index) {
-  auto it = std::find(t_shared_held.rbegin(), t_shared_held.rend(), index);
-  if (it != t_shared_held.rend()) {
-    t_shared_held.erase(std::next(it).base());
-  }
-}
-
-bool SharedHeldByThisThread(const void* index) {
-  return std::find(t_shared_held.begin(), t_shared_held.end(), index) !=
-         t_shared_held.end();
-}
-}  // namespace internal
-#endif  // NDEBUG
-
-// ----------------------------------------------------- latch acquisition
-//
-// shared_mutex fairness is implementation-defined, and the common
-// pthread rwlock prefers readers: with reader threads issuing queries
-// back to back, the shared side never drains and a unique_lock waits
-// forever. The writers_waiting_ gate restores progress — writers
-// announce themselves before blocking, and new readers sleep on the
-// gate's condition variable until no writer is announced (so reader
-// threads burn no CPU across the writer's whole queueing + exclusive
-// section). A reader that raced past the gate holds the latch for at
-// most one query, so the writer's wait is bounded by one in-flight
-// query per reader thread.
-
-void SpatialIndex::LatchShared() const {
-#ifndef NDEBUG
-  // The re-entrancy hazard documented at ReaderSection(): a nested
-  // shared acquisition on the same index deadlocks as soon as a writer
-  // is waiting between the two. Catch it at the call site.
-  assert(!internal::SharedHeldByThisThread(this) &&
-         "nested ReaderSection() on the same SpatialIndex from one "
-         "thread: deadlocks against a waiting writer; use the unlatched "
-         "*Locked/plan hooks inside a held section instead");
-#endif
-  {
-    MutexLock gate(gate_mu_);
-    while (writers_waiting_ != 0) gate_cv_.Wait(gate_mu_);
-  }
-  latch_.LockShared();
-#ifndef NDEBUG
-  internal::NoteSharedAcquired(this);
-#endif
-}
-
-void SpatialIndex::UnlatchShared() const {
-#ifndef NDEBUG
-  internal::NoteSharedReleased(this);
-#endif
-  latch_.UnlockShared();
-}
-
-void SpatialIndex::LatchExclusive() {
-  {
-    MutexLock gate(gate_mu_);
-    ++writers_waiting_;
-  }
-  latch_.Lock();
-  {
-    MutexLock gate(gate_mu_);
-    if (--writers_waiting_ == 0) gate_cv_.NotifyAll();
-  }
-}
+void SpatialIndex::LatchExclusive() { latch_.Lock(); }
 
 void SpatialIndex::UnlatchExclusive() { latch_.Unlock(); }
-
-ReaderLatch SpatialIndex::AcquireShared() const {
-  LatchShared();
-  return ReaderLatch(this);
-}
 
 Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Create(
     BufferPool* pool, const SpatialIndexOptions& options) {
@@ -122,6 +39,9 @@ Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Create(
   ZDB_ASSIGN_OR_RETURN(index->btree_, BTree::Create(pool));
   index->store_ = std::make_unique<ObjectStore>(pool);
   index->polys_ = std::make_unique<PolygonStore>(pool);
+  MutexLock commit(index->commit_mu_);
+  WriterSection lock(index.get());
+  index->StartSnapshotsLocked();
   return index;
 }
 
@@ -449,8 +369,12 @@ Result<bool> SpatialIndex::RecordIntersects(const ObjectRecord& rec,
 }
 
 Result<double> SpatialIndex::DistanceTo(ObjectId oid, const Point& p) {
-  SharedSection lock(this);
-  return DistanceToLocked(oid, p);
+  return AtFreshPin([&](const EpochPin& pin) -> Result<double> {
+    std::unique_ptr<SnapshotReadScope> scope;
+    ZDB_ASSIGN_OR_RETURN(scope, OpenSnapshot(pin));
+    SnapshotSection section(this);
+    return DistanceToLocked(oid, p);
+  });
 }
 
 Result<double> SpatialIndex::DistanceToLocked(ObjectId oid, const Point& p) {
@@ -499,29 +423,14 @@ Result<std::vector<ObjectId>> SpatialIndex::RefineWindowCandidates(
 
 // ---------------------------------------------------------------- queries
 //
-// With snapshots enabled, the public queries pin the current epoch and
-// run latch-free against the pinned version chains; a pin can race a
-// group rollback that invalidates its epoch (rare: I/O failure), in
-// which case the query re-pins — the re-published epoch is always
-// valid — and retries. Without snapshots they take the shared latch as
-// before.
-
-/// Expands to the snapshot-pinned fast path of a public query: pin,
-/// delegate to the *At variant, retry on a rolled-back epoch.
-#define ZDB_SNAPSHOT_QUERY(AtCall)                                     \
-  if (snapshots_enabled()) {                                           \
-    for (int attempt = 0;; ++attempt) {                                \
-      const EpochPin pin = PinEpoch();                                 \
-      auto r = AtCall;                                                 \
-      if (r.ok() || !r.status().IsAborted() || attempt >= 2) return r; \
-    }                                                                  \
-  }
+// The public queries pin the current epoch and run latch-free against
+// the pinned version chains through their *At variants.
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,
                                                         QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(WindowQueryAt(pin, window, stats));
-  SharedSection lock(this);
-  return WindowQueryLocked(window, stats);
+  return AtFreshPin([&](const EpochPin& pin) {
+    return WindowQueryAt(pin, window, stats);
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQueryLocked(
@@ -546,9 +455,8 @@ Result<std::vector<ObjectId>> SpatialIndex::WindowQueryLocked(
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQuery(const Point& p,
                                                        QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(PointQueryAt(pin, p, stats));
-  SharedSection lock(this);
-  return PointQueryLocked(p, stats);
+  return AtFreshPin(
+      [&](const EpochPin& pin) { return PointQueryAt(pin, p, stats); });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQueryLocked(
@@ -581,9 +489,9 @@ Result<std::vector<ObjectId>> SpatialIndex::PointQueryLocked(
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQuery(
     const Rect& window, QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(ContainmentQueryAt(pin, window, stats));
-  SharedSection lock(this);
-  return ContainmentQueryLocked(window, stats);
+  return AtFreshPin([&](const EpochPin& pin) {
+    return ContainmentQueryAt(pin, window, stats);
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryLocked(
@@ -612,9 +520,9 @@ Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryLocked(
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQuery(
     const Rect& window, QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(EnclosureQueryAt(pin, window, stats));
-  SharedSection lock(this);
-  return EnclosureQueryLocked(window, stats);
+  return AtFreshPin([&](const EpochPin& pin) {
+    return EnclosureQueryAt(pin, window, stats);
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryLocked(
@@ -642,7 +550,5 @@ Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryLocked(
       },
       stats);
 }
-
-#undef ZDB_SNAPSHOT_QUERY
 
 }  // namespace zdb

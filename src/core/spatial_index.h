@@ -18,29 +18,32 @@
 //   auto hits = index->WindowQuery(Rect{.1, .1, .4, .4}).value();
 //
 // Concurrency: the index is safe for any mix of concurrent readers and
-// writers. Queries (WindowQuery/PointQuery/ContainmentQuery/
-// EnclosureQuery/NearestNeighbors/SpatialJoin) take an internal shared
-// latch; mutations (Insert/InsertPolygon/Erase/BulkLoad/ApplyBatch/
-// Checkpoint) take it exclusively, so every mutation — in particular the
-// multi-key publication of one object's whole z-element set — becomes
-// visible to readers all-or-nothing. ApplyBatch() extends that guarantee
-// to a whole batch of mutations (and makes the batch crash-atomic when
-// the pager has a rollback journal). The parallel plan hooks
-// (PlanWindow/ExecuteWindowPlanSlice/RefineWindowCandidates) do NOT
-// latch internally: a caller splitting one query across threads must
-// hold one ReaderSection() across all hook calls (exec/executor.h does).
+// writers. Mutations (Insert/InsertPolygon/Erase/BulkLoad/ApplyBatch/
+// Checkpoint) are writer sections: they serialize on an exclusive latch,
+// and each one publishes a new write epoch when it completes, so every
+// mutation — in particular the multi-key publication of one object's
+// whole z-element set — becomes visible to readers all-or-nothing.
+// ApplyBatch() extends that guarantee to a whole batch of mutations (and
+// makes the batch crash-atomic when the pager has a rollback journal).
 // Use exec/executor.h to drive query and mixed read/write batches over a
 // worker pool.
 //
-// Snapshot reads: after EnableSnapshots(), the public queries stop
-// taking the shared latch. Each query pins the current write epoch
-// (EpochPin, core/epoch.h) and traverses copy-on-write before-image
-// version chains (storage/snapshot.h) at that epoch, so a long scan
+// Snapshot reads: every read — the queries (WindowQuery/PointQuery/
+// ContainmentQuery/EnclosureQuery/NearestNeighbors), DistanceTo,
+// LevelHistogram and SpatialJoin — pins the current write epoch
+// (EpochPin, core/epoch.h) and reads the committed state of that epoch.
+// Readers take no latch: a pinned page fetch takes a counted reference
+// to the cached page buffer, and a writer's first mutation of a page
+// hands the old buffer to the index's before-image version chains
+// (storage/snapshot.h) and writes into a fresh copy. So a long scan
 // never blocks a writer and a sustained write stream never blocks
 // readers. The *At query variants run several queries against one
 // explicitly pinned epoch — repeated reads at one pin are byte-stable.
-// A background GC thread reclaims superseded versions once the lowest
-// pinned epoch passes them. See DESIGN.md "Snapshot reads & epoch GC".
+// The parallel plan hooks (PlanWindow/ExecuteWindowPlanSlice/
+// RefineWindowCandidates) run under a SnapshotReadScope the caller
+// opens on each thread (OpenSnapshot), all under one pin. A background
+// GC thread reclaims superseded versions once the lowest pinned epoch
+// passes them. See DESIGN.md "Snapshot reads & epoch GC".
 
 #ifndef ZDB_CORE_SPATIAL_INDEX_H_
 #define ZDB_CORE_SPATIAL_INDEX_H_
@@ -149,60 +152,6 @@ struct WriteBatch {
   bool empty() const { return ops.empty(); }
 };
 
-namespace internal {
-#ifndef NDEBUG
-// Debug-build bookkeeping behind the nested-ReaderSection assertion: a
-// per-thread stack of the indexes the thread currently holds shared.
-void NoteSharedAcquired(const void* index);
-void NoteSharedReleased(const void* index);
-bool SharedHeldByThisThread(const void* index);
-#endif
-}  // namespace internal
-
-class SpatialIndex;
-
-/// Movable RAII shared-latch section returned by
-/// SpatialIndex::ReaderSection(). In debug builds it additionally
-/// maintains the per-thread held-set that lets the latch acquisition
-/// assert on nested acquisition of the same index (the writer-gate
-/// deadlock documented at ReaderSection()) at the call site instead of
-/// hanging. Must be released on the thread that acquired it.
-///
-/// Deliberately outside thread-safety analysis: a movable handle cannot
-/// be tracked by the analysis (the capability would have to follow the
-/// move), so the latch is acquired and released through unchecked
-/// boundaries (SpatialIndex::AcquireShared / UnlatchShared). Internal
-/// code uses the checked scoped sections instead; this handle exists for
-/// external callers that span the unlatched plan hooks.
-class ReaderLatch {
- public:
-  ReaderLatch() = default;
-  ReaderLatch(ReaderLatch&& o) noexcept : owner_(o.owner_) {
-    o.owner_ = nullptr;
-  }
-  ReaderLatch& operator=(ReaderLatch&& o) noexcept {
-    if (this != &o) {
-      Release();
-      owner_ = o.owner_;
-      o.owner_ = nullptr;
-    }
-    return *this;
-  }
-  ReaderLatch(const ReaderLatch&) = delete;
-  ReaderLatch& operator=(const ReaderLatch&) = delete;
-  ~ReaderLatch() { Release(); }
-
-  bool owns_lock() const { return owner_ != nullptr; }
-
- private:
-  friend class SpatialIndex;
-  explicit ReaderLatch(const SpatialIndex* owner) : owner_(owner) {}
-
-  void Release() NO_THREAD_SAFETY_ANALYSIS;  // inline after SpatialIndex
-
-  const SpatialIndex* owner_ = nullptr;
-};
-
 class SpatialIndex {
  public:
   /// Creates an empty index whose pages come from `pool`.
@@ -215,7 +164,7 @@ class SpatialIndex {
                                                     PageId master_page);
 
   /// Stops the group-commit pipeline (draining pending durability work)
-  /// if it is running.
+  /// if it is running, then the version GC thread.
   ~SpatialIndex();
 
   /// Persists the index state (options, B+-tree meta, store directories,
@@ -355,21 +304,6 @@ class SpatialIndex {
 
   // ------------------------------------------------------- concurrency
 
-  /// A shared (reader) latch section. Every public query takes one
-  /// internally; take one explicitly to make several calls — e.g. the
-  /// parallel plan hooks below, or a read-check-read sequence — atomic
-  /// with respect to writers. Never acquire a section inside another one
-  /// on the same thread — in particular, never call a public query
-  /// (WindowQuery/DistanceTo/...) while holding a ReaderSection, since
-  /// it re-acquires internally and a waiting writer deadlocks the
-  /// nesting; use the unlatched plan hooks below instead. Debug builds
-  /// assert at the nested acquisition site (see ReaderLatch), so the
-  /// hazard is a crash with a message instead of a hang.
-  /// Acquisition is writer-preferring: new reader sections stand aside
-  /// while a writer is waiting, so a continuous query stream cannot
-  /// starve the write path (see AcquireShared()).
-  ReaderLatch ReaderSection() const { return AcquireShared(); }
-
   /// Number of committed writer sections (single mutations count one,
   /// ApplyBatch counts one per batch). Monotonic; published with release
   /// order inside the writer section, so a reader that loads epoch e
@@ -382,37 +316,23 @@ class SpatialIndex {
 
   // ------------------------------------------------------ snapshot reads
   //
-  // Epoch-pinned reads replace the reader half of the latch: queries at
-  // a pinned epoch resolve pages through before-image version chains
-  // and never hold latch_, so they cannot stall writers (and writers
-  // cannot tear them). Writers still serialize through
-  // commit_mu_ -> latch_ exactly as before; on every publish they
-  // capture a SnapshotMeta (root, directories, counters) for the new
-  // epoch and the buffer pool saves pre-batch page images on first
-  // mutation.
-
-  /// Switches the read path to epoch-pinned snapshot reads. Captures
-  /// the current state as the first pinned-readable epoch, arms
-  /// copy-on-write in the buffer pool, and starts the version GC
-  /// thread. Call once, after Create()/Open() (and after
-  /// StartGroupCommit() if used); idempotent. Snapshots stay enabled
-  /// for the index's lifetime.
-  Status EnableSnapshots();
-
-  /// True once EnableSnapshots() succeeded.
-  bool snapshots_enabled() const {
-    return snapshots_on_.load(std::memory_order_acquire);
-  }
+  // Every read runs at a pinned epoch: it resolves pages through this
+  // index's before-image version chains and the epoch's SnapshotMeta,
+  // and never holds latch_, so it cannot stall writers (and writers
+  // cannot tear it). Writers serialize through commit_mu_ -> latch_; on
+  // every publish they capture a SnapshotMeta (root, directories,
+  // counters) for the new epoch, and the first mutation of each page in
+  // a batch hands its pre-batch buffer to the chains. The chains and
+  // the epoch manager live from Create()/Open() to destruction.
 
   /// Pins the current write epoch for explicit multi-query snapshot
-  /// reads (the *At variants below). Requires snapshots_enabled();
-  /// aborts otherwise. Holding a pin never blocks writers — it only
-  /// delays version reclamation.
+  /// reads (the *At variants below). Holding a pin never blocks writers
+  /// — it only delays version reclamation.
   EpochPin PinEpoch() const;
 
   /// Scoped thread-local snapshot context: while alive, every read this
-  /// thread makes through this index (including the unlatched plan
-  /// hooks) resolves at the scope's epoch. Obtained from
+  /// thread makes through this index (including the plan hooks)
+  /// resolves at the scope's epoch. Obtained from
   /// OpenSnapshot(); destroy on the creating thread, strictly nested.
   /// Construction briefly blocks while a failed-batch reload is in
   /// progress (the quiesce barrier); it never blocks on writers
@@ -467,13 +387,12 @@ class SpatialIndex {
       const EpochPin& pin, const Point& p, size_t k,
       QueryStats* stats = nullptr, uint32_t* rounds = nullptr);
 
-  /// Pin / version-chain counters (zero before EnableSnapshots()).
+  /// Pin / version-chain counters.
   EpochStats epoch_stats() const;
   PageVersionStats version_stats() const;
 
-  /// The manager backing PinEpoch(); nullptr before EnableSnapshots().
-  /// Exposed for tests that drive reclamation deterministically
-  /// (EpochManager::RunGcCycle).
+  /// The manager backing PinEpoch(). Exposed for tests that drive
+  /// reclamation deterministically (EpochManager::RunGcCycle).
   EpochManager* epochs() const { return epoch_mgr_.get(); }
 
   // ------------------------------------------------------------- queries
@@ -509,20 +428,14 @@ class SpatialIndex {
   // executor can split one query's z-interval set across workers: plan
   // once, execute disjoint work-item slices concurrently (each slice
   // deduplicates locally; the caller merges and deduplicates globally),
-  // then refine candidate chunks concurrently. The hooks do not latch
-  // internally (per-call latching could interleave a writer between the
-  // plan and its slices); when writers may be active, hold one
-  // ReaderSection() across the whole plan/execute/refine sequence.
-  //
-  // That contract is not expressible to the thread-safety analysis (the
-  // ReaderSection handle is movable and the hooks run on threads other
-  // than the acquiring one), so the hooks are a documented unchecked
-  // boundary: NO_THREAD_SAFETY_ANALYSIS here, checked REQUIRES_SHARED
-  // helpers underneath.
+  // then refine candidate chunks concurrently. Every call runs under a
+  // SnapshotReadScope of this index installed on the calling thread
+  // (OpenSnapshot), all scopes under one pin, so the plan, its slices
+  // and the refinement read one committed state. PlanWindow and
+  // ExecuteWindowPlanSlice fail with InvalidArgument without one.
 
   /// Builds the probe/scan plan for a window query.
-  Result<WindowPlan> PlanWindow(const Rect& window)
-      NO_THREAD_SAFETY_ANALYSIS;
+  Result<WindowPlan> PlanWindow(const Rect& window);
 
   /// Executes plan work items [begin, end) and returns the candidate
   /// object ids (locally deduplicated, sorted). In store_mbr_in_leaf mode
@@ -530,8 +443,7 @@ class SpatialIndex {
   Result<std::vector<ObjectId>> ExecuteWindowPlanSlice(const WindowPlan& plan,
                                                        size_t begin,
                                                        size_t end,
-                                                       QueryStats* stats)
-      NO_THREAD_SAFETY_ANALYSIS;
+                                                       QueryStats* stats);
 
   /// Refines window-query candidates against exact geometry (a no-op
   /// pass-through in store_mbr_in_leaf mode, where the filter already
@@ -553,8 +465,7 @@ class SpatialIndex {
   /// Euclidean otherwise. Polygon objects use their exact ring.
   Result<double> DistanceTo(ObjectId oid, const Point& p);
 
-  /// Build counters. Advisory monitor read outside the latch (callers
-  /// wanting a consistent snapshot hold a ReaderSection across it), so
+  /// Build counters. Advisory monitor read outside the latch, so
   /// deliberately outside the analysis.
   const IndexBuildStats& build_stats() const NO_THREAD_SAFETY_ANALYSIS {
     return build_stats_;
@@ -581,19 +492,22 @@ class SpatialIndex {
  private:
   friend Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
       SpatialIndex* a, SpatialIndex* b, JoinStats* stats);
-  friend class ReaderLatch;  // Release() calls UnlatchShared()
 
   SpatialIndex(BufferPool* pool, const SpatialIndexOptions& options)
       : pool_(pool),
         options_(options),
-        mapper_(options.world, options.grid_bits) {}
+        mapper_(options.world, options.grid_bits),
+        versions_(pool->pager()->page_size()),
+        epoch_mgr_(std::make_unique<EpochManager>(&write_epoch_,
+                                                  &versions_)) {}
 
-  // Unlatched bodies of the public entry points (suffix "Locked" =
-  // caller holds latch_, shared for reads / exclusive for writes; the
-  // REQUIRES annotations make the analysis enforce exactly that). The
-  // public wrappers acquire the latch and, for mutations, publish the
-  // write epoch; internal callers (kNN's expanding windows, ApplyBatch,
-  // SpatialJoin) compose these without re-acquiring.
+  // Bodies of the public entry points (suffix "Locked" = caller holds
+  // latch_: exclusive for writes, or claimed shared by SnapshotSection
+  // for pinned reads; the REQUIRES annotations make the analysis enforce
+  // exactly that). The public wrappers take a writer section or a
+  // pinned snapshot scope and, for mutations, publish the write epoch;
+  // internal callers (kNN's expanding windows, ApplyBatch) compose these
+  // without re-acquiring.
   Result<ObjectId> InsertLocked(const Rect& mbr, uint32_t payload,
                                 ObjectId preassigned = kNoPreassignedOid)
       REQUIRES(latch_);
@@ -650,16 +564,13 @@ class SpatialIndex {
       REQUIRES_SHARED(latch_);
 
   /// Bumps the published write epoch; call at the end of a successful
-  /// writer section, while still holding the exclusive latch. With
-  /// snapshots enabled, first records the post-batch SnapshotMeta under
-  /// the new epoch — readers that pin the bumped epoch immediately
-  /// afterwards must already find its meta. Reports the new epoch to a
-  /// non-null `published`.
+  /// writer section, while still holding the exclusive latch. First
+  /// records the post-batch SnapshotMeta under the new epoch — readers
+  /// that pin the bumped epoch immediately afterwards must already find
+  /// its meta. Reports the new epoch to a non-null `published`.
   void PublishWrite(PublishPoint* published = nullptr) REQUIRES(latch_) {
     const uint64_t epoch = write_epoch_.load(std::memory_order_relaxed) + 1;
-    if (snapshots_on_.load(std::memory_order_relaxed)) {
-      epoch_mgr_->RecordMeta(epoch, CaptureMetaLocked());
-    }
+    epoch_mgr_->RecordMeta(epoch, CaptureMetaLocked());
     write_epoch_.store(epoch, std::memory_order_release);
     if (published != nullptr) {
       *published = {epoch, rollbacks_.load(std::memory_order_relaxed)};
@@ -667,6 +578,27 @@ class SpatialIndex {
   }
 
   // ----------------------------- snapshot reads (core/snapshot_read.cc)
+
+  /// Makes the current state the first pinned-readable epoch and starts
+  /// the version GC thread; the last step of Create()/Open().
+  void StartSnapshotsLocked() REQUIRES(latch_);
+
+  /// Runs `read(pin)` at a fresh pin of the current epoch. A pin can
+  /// race a group rollback that invalidates its epoch (rare: I/O
+  /// failure); the read then fails with Aborted, and it re-pins — the
+  /// re-published epoch is always valid — and retries, twice at most.
+  template <typename Read>
+  auto AtFreshPin(Read read) const {
+    for (int attempt = 0;; ++attempt) {
+      const EpochPin pin = PinEpoch();
+      auto r = read(pin);
+      if (r.ok() || !r.status().IsAborted() || attempt >= 2) return r;
+    }
+  }
+
+  /// The plan hooks' precondition: a SnapshotReadScope of this index is
+  /// installed on the calling thread.
+  Status CheckSnapshotScope(const char* hook) const;
 
   /// Value-copies the reader-visible index state (tree root/height,
   /// store directories, counters) into a SnapshotMeta. Writer side,
@@ -679,15 +611,13 @@ class SpatialIndex {
   SnapshotView MakeView(uint64_t epoch,
                         std::shared_ptr<const SnapshotMeta> meta) const;
 
-  /// Resolves `pin`'s snapshot meta (InvalidArgument before
-  /// EnableSnapshots(), Aborted for a rolled-back epoch).
+  /// Resolves `pin`'s snapshot meta (Aborted for a rolled-back epoch).
   Result<std::shared_ptr<const SnapshotMeta>> PinnedMeta(
       const EpochPin& pin) const;
 
   /// Reader-count gate for the reload quiesce barrier. Snapshot reads
-  /// hold no latch, but a chain-miss page resolution takes a transient
-  /// buffer-pool pin — ReloadLocked (which discards the pool cache and
-  /// reseats the tree/store handles) must wait those out. Enter blocks
+  /// hold no latch, but they dereference the tree/store handles that
+  /// ReloadLocked reseats — it must wait those reads out. Enter blocks
   /// while the barrier is up; reads in progress finish first.
   void EnterSnapshotRead() const EXCLUDES(snap_mu_);
   void LeaveSnapshotRead() const EXCLUDES(snap_mu_);
@@ -703,7 +633,7 @@ class SpatialIndex {
   /// Capability bridge for the pinned read path: claims the shared
   /// latch for the thread-safety analysis WITHOUT acquiring it, so the
   /// REQUIRES_SHARED query bodies stay checkable from the latch-free
-  /// snapshot path. Sound because under an installed SnapshotView every
+  /// read path. Sound because under an installed SnapshotView every
   /// latch-guarded datum those bodies touch is redirected to immutable
   /// snapshot state (EffectiveLevelMask/EffectiveLiveObjects, the
   /// view-aware BTree/store/pool read paths); the live fields a writer
@@ -756,58 +686,30 @@ class SpatialIndex {
   Status RollbackGroupLocked(const Status& cause)
       REQUIRES(commit_mu_, latch_);
 
-  // Latch acquisition with writer preference. The portable
-  // SharedMutex makes no fairness promise, and the common pthread
-  // implementation prefers readers — under a continuous query stream the
-  // shared side never drains and a writer waits forever. Writers
-  // announce themselves in writers_waiting_ before blocking on the
-  // exclusive latch; LatchShared() sleeps on gate_cv_ while any
-  // writer is announced (no CPU burned during the writer's turn), so
-  // the shared side drains within one in-flight query per reader thread
-  // and the writer gets through. Defined in spatial_index.cc.
-  void LatchShared() const ACQUIRE_SHARED(latch_);
-  void UnlatchShared() const RELEASE_SHARED(latch_);
   void LatchExclusive() ACQUIRE(latch_);
   void UnlatchExclusive() RELEASE(latch_);
 
-  /// Checked scoped shared section over the gate + latch; what internal
-  /// read paths use (the public ReaderSection() handle is movable and
-  /// therefore untracked).
-  class SCOPED_CAPABILITY SharedSection {
-   public:
-    explicit SharedSection(const SpatialIndex* ix)
-        ACQUIRE_SHARED(ix->latch_)
-        : ix_(ix) {
-      ix_->LatchShared();
-    }
-    ~SharedSection() RELEASE() { ix_->UnlatchShared(); }
-    SharedSection(const SharedSection&) = delete;
-    SharedSection& operator=(const SharedSection&) = delete;
-
-   private:
-    const SpatialIndex* ix_;
-  };
-
-  /// Checked scoped writer section (gate announcement + exclusive
-  /// latch). Unlock() releases early — ApplyBatch drops the latch before
-  /// blocking on durability.
+  /// Checked scoped writer section: the exclusive latch plus this
+  /// batch's VersioningScope (the first mutation of any page saves its
+  /// pre-batch image tagged with the current, pre-bump epoch). The
+  /// stamp is re-armed per section; the keep-first rule in PageVersions
+  /// makes a checkpoint sharing the stamp harmless. Unlock() releases
+  /// early — ApplyBatch drops the latch before blocking on durability.
   class SCOPED_CAPABILITY WriterSection {
    public:
     explicit WriterSection(SpatialIndex* ix) ACQUIRE(ix->latch_)
         : ix_(ix) {
       ix_->LatchExclusive();
-      // Arm copy-on-write for this batch: first mutation of any page
-      // saves its pre-batch image tagged with the current (pre-bump)
-      // epoch. The stamp is re-armed per section; the keep-first rule
-      // in PageVersions makes a checkpoint sharing the stamp harmless.
-      if (ix_->snapshots_on_.load(std::memory_order_relaxed)) {
-        ix_->pool_->ArmVersioning(ix_->write_epoch() + 1);
-      }
+      versioning_.emplace(&ix_->versions_, ix_->write_epoch() + 1);
     }
     ~WriterSection() RELEASE() {
-      if (ix_ != nullptr) ix_->UnlatchExclusive();
+      if (ix_ != nullptr) {
+        versioning_.reset();
+        ix_->UnlatchExclusive();
+      }
     }
     void Unlock() RELEASE() {
+      versioning_.reset();
       ix_->UnlatchExclusive();
       ix_ = nullptr;
     }
@@ -816,11 +718,8 @@ class SpatialIndex {
 
    private:
     SpatialIndex* ix_;
+    std::optional<VersioningScope> versioning_;
   };
-
-  /// Backs the public ReaderSection() handle: LatchShared() wrapped into
-  /// a movable ReaderLatch. Untracked by design (see ReaderLatch).
-  ReaderLatch AcquireShared() const NO_THREAD_SAFETY_ANALYSIS;
 
   /// Builds the probe/scan work list for a grid query rect (the shared
   /// planning step of the filter stage). Defined in query.cc.
@@ -884,28 +783,22 @@ class SpatialIndex {
   /// latch.
   std::atomic<uint64_t> live_objects_{0};
 
-  /// Reader/writer latch: queries hold it shared for their whole
-  /// duration (kNN across all its expanding rounds), mutations hold it
-  /// exclusive — batch-granular writer sections over the B+-tree, the
-  /// stores and the index metadata.
+  /// Writer latch: mutations hold it exclusive — batch-granular writer
+  /// sections over the B+-tree, the stores and the index metadata.
+  /// Readers never acquire it; SnapshotSection claims it shared for the
+  /// analysis only.
   mutable SharedMutex latch_ ACQUIRED_AFTER(commit_mu_);
-  /// Writer-preference gate (see LatchShared()): writers_waiting_
-  /// counts writers blocked on (or about to block on) latch_; readers
-  /// wait on gate_cv_ until it drops to zero. gate_mu_ is a leaf lock.
-  mutable Mutex gate_mu_;
-  mutable CondVar gate_cv_;
-  mutable uint32_t writers_waiting_ GUARDED_BY(gate_mu_) = 0;
   std::atomic<uint64_t> write_epoch_{0};
   /// Group rollbacks run; bumped under commit_mu_ and the exclusive
   /// latch (see rollback_count()).
   std::atomic<uint64_t> rollbacks_{0};
 
-  /// Pin accounting, per-epoch snapshot metas and the version GC
-  /// thread. Set once by EnableSnapshots() (never reseated); the
-  /// snapshots_on_ flag is what readers consult, with acquire order so
-  /// a reader seeing `true` also sees the pointer.
+  /// This index's before-image version chains (its epochs tag the
+  /// entries), and the pin accounting, per-epoch snapshot metas and
+  /// version GC thread that reclaims them. Both live as long as the
+  /// index; the manager is declared second so it stops first.
+  PageVersions versions_;
   std::unique_ptr<EpochManager> epoch_mgr_;
-  std::atomic<bool> snapshots_on_{false};
 
   /// Reload quiesce barrier (see BeginSnapshotQuiesce). snap_mu_ is a
   /// leaf lock on the reader side; ReloadLocked takes it while holding
@@ -963,13 +856,6 @@ class SpatialIndex {
   PageId obj_dir_chain_ GUARDED_BY(commit_mu_) = kInvalidPageId;
   PageId poly_dir_chain_ GUARDED_BY(commit_mu_) = kInvalidPageId;
 };
-
-inline void ReaderLatch::Release() {
-  if (owner_ != nullptr) {
-    owner_->UnlatchShared();
-    owner_ = nullptr;
-  }
-}
 
 /// Spatial join: all pairs (a-object, b-object) with intersecting MBRs,
 /// computed by a synchronized z-order merge of the two indexes' entry

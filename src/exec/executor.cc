@@ -166,13 +166,12 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowQuery(
     shards.push_back(static_cast<uint32_t>(__builtin_ctzll(mask)));
     mask &= mask - 1;
   }
-  const bool snapshots = indexes_[0]->snapshots_enabled();
   for (int attempt = 0;; ++attempt) {
     // A group-commit rollback on any participating shard invalidates
     // that shard's pinned epoch mid-flight (Aborted); re-pin everything
     // at the re-published epochs and retry.
-    auto r = ParallelWindowAttempt(window, stats, shards, snapshots);
-    if (r.ok() || !snapshots || !r.status().IsAborted() || attempt >= 2) {
+    auto r = ParallelWindowAttempt(window, stats, shards);
+    if (r.ok() || !r.status().IsAborted() || attempt >= 2) {
       return r;
     }
   }
@@ -180,27 +179,20 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowQuery(
 
 Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowAttempt(
     const Rect& window, QueryStats* stats,
-    const std::vector<uint32_t>& shards, bool snapshots) {
+    const std::vector<uint32_t>& shards) {
   const size_t ns = shards.size();
 
-  // Pin one epoch per participating shard (or hold its reader latch):
-  // each shard's plan/slice/refine calls all observe that shard's
-  // pinned state — per-shard consistency, not one cross-shard state
-  // (the scatter-gather contract, see shard/scatter.h). Latches are
-  // reader-shared and writers take one shard at a time, so holding
-  // several shard latches cannot deadlock the router fan-out.
+  // Pin one epoch per participating shard: each shard's plan/slice/
+  // refine calls all observe that shard's pinned state — per-shard
+  // consistency, not one cross-shard state (the scatter-gather
+  // contract, see shard/scatter.h).
   EpochPinSet pins(ns);
-  std::vector<ReaderLatch> sections;
   std::vector<WindowPlan> plans(ns);
   for (size_t i = 0; i < ns; ++i) {
     SpatialIndex* ix = indexes_[shards[i]];
+    const EpochPin& pin = pins.Add(ix->PinEpoch());
     std::unique_ptr<SpatialIndex::SnapshotReadScope> driver_scope;
-    if (snapshots) {
-      const EpochPin& pin = pins.Add(ix->PinEpoch());
-      ZDB_ASSIGN_OR_RETURN(driver_scope, ix->OpenSnapshot(pin));
-    } else {
-      sections.push_back(ix->ReaderSection());
-    }
+    ZDB_ASSIGN_OR_RETURN(driver_scope, ix->OpenSnapshot(pin));
     ZDB_ASSIGN_OR_RETURN(plans[i], ix->PlanWindow(window));
   }
 
@@ -225,9 +217,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowAttempt(
   ZDB_RETURN_IF_ERROR(RunJob(work.size(), [&](size_t i, size_t w) -> Status {
     SpatialIndex* ix = indexes_[shards[work[i].shard]];
     std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
-    if (snapshots) {
-      ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[work[i].shard]));
-    }
+    ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[work[i].shard]));
     auto r = ix->ExecuteWindowPlanSlice(plans[work[i].shard], work[i].lo,
                                         work[i].hi, &part_stats[i]);
     if (!r.ok()) return r.status();
@@ -268,9 +258,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowAttempt(
   ZDB_RETURN_IF_ERROR(RunJob(rwork.size(), [&](size_t i, size_t w) -> Status {
     SpatialIndex* ix = indexes_[shards[rwork[i].shard]];
     std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
-    if (snapshots) {
-      ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[rwork[i].shard]));
-    }
+    ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[rwork[i].shard]));
     const auto& list = cand[rwork[i].shard];
     std::vector<ObjectId> chunk(list.begin() + rwork[i].lo,
                                 list.begin() + rwork[i].hi);

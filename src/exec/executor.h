@@ -9,8 +9,8 @@
 //     is spread over the workers, each one scatter-gathered across its
 //     overlapping shards exactly as zdb::DB would run it (shard/scatter.h);
 //     results in input order;
-//   * intra-query parallelism — ParallelWindowQuery() pins (or latches)
-//     every shard the window overlaps, flattens every (shard, slice) of
+//   * intra-query parallelism — ParallelWindowQuery() pins every shard
+//     the window overlaps, flattens every (shard, slice) of
 //     their z-interval work lists into ONE pool job, so the workers
 //     parallelize across shards before slicing within them, then
 //     deduplicates candidates globally by oid (an object replicated into
@@ -28,19 +28,15 @@
 //     is not visible atomically, so the bracket would not hold.
 //
 // Reads and writes synchronize inside each engine, never in the
-// executor. With snapshot reads on (DBOptions::snapshot_reads, the
-// default) a query pins the engine's committed epoch and runs
+// executor. Every query pins the engine's committed epoch and runs
 // latch-free; ParallelWindowQuery pins ONE epoch per participating
 // shard and every worker installs its own SnapshotReadScope under that
 // pin, so all plan hooks (PlanWindow/ExecuteWindowPlanSlice/
 // RefineWindowCandidates) observe the same committed state of a shard.
-// The hooks stay NO_THREAD_SAFETY_ANALYSIS: what protects them is the
-// pinned epoch's immutability, which tests/snapshot_test.cc
-// (SnapshotStress.PlanHooksCannotObserveTornEpoch) verifies under
-// writer churn. With snapshot reads off, the calling thread holds one
-// reader section per shard across all hook calls instead, and the
-// workers run only the unlatched hooks. A group-commit rollback that invalidates a
-// pinned epoch (Aborted) re-pins and retries the whole query.
+// What protects the hooks is the pinned epoch's immutability, which
+// tests/snapshot_test.cc (SnapshotStress.PlanHooksCannotObserveTornEpoch)
+// verifies under writer churn. A group-commit rollback that invalidates
+// a pinned epoch (Aborted) re-pins and retries the whole query.
 //
 // Per-worker counters (pages pinned, pool hit rate, candidates,
 // refinements) are collected racelessly: each worker owns its WorkerStats
@@ -207,11 +203,11 @@ class QueryExecutor {
   };
 
   /// One attempt of ParallelWindowQuery over the overlapping `shards`:
-  /// pins (or latches) each of them, then runs all shards' slice and
+  /// pins each of them, then runs all shards' slice and
   /// refinement work items through the shared pool.
   Result<std::vector<ObjectId>> ParallelWindowAttempt(
       const Rect& window, QueryStats* stats,
-      const std::vector<uint32_t>& shards, bool snapshots);
+      const std::vector<uint32_t>& shards);
 
   Status RunJob(size_t count,
                 std::function<Status(size_t item, size_t worker)> fn);

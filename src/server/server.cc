@@ -1114,16 +1114,14 @@ std::string Server::StatsJson() const {
         eio.pool_evictions.load(std::memory_order_relaxed);
   }
   w.EndArray();
-  if (ds.snapshot_reads) {
-    w.Key("snapshots").BeginObject();
-    w.Field("pinned", ds.pinned_epochs);
-    w.Field("pins_taken", ds.pins_taken);
-    w.Field("gc_cycles", ds.gc_cycles);
-    w.Field("page_versions", ds.page_versions);
-    w.Field("version_bytes", ds.version_bytes);
-    w.Field("versions_reclaimed", ds.versions_reclaimed);
-    w.EndObject();
-  }
+  w.Key("snapshots").BeginObject();
+  w.Field("pinned", ds.pinned_epochs);
+  w.Field("pins_taken", ds.pins_taken);
+  w.Field("gc_cycles", ds.gc_cycles);
+  w.Field("page_versions", ds.page_versions);
+  w.Field("version_bytes", ds.version_bytes);
+  w.Field("versions_reclaimed", ds.versions_reclaimed);
+  w.EndObject();
   AppendJson(&w, "io", io_total);
   w.EndObject();
 

@@ -58,12 +58,6 @@
 // sets a flag the daemon observes via WaitForShutdownRequest(); the
 // daemon then calls Stop().
 //
-// Deadlock note: the executor's worker pool only ever runs the
-// unlatched plan hooks (via ParallelWindowQuery); every other query
-// executes on the server workers' own threads. With snapshot reads off,
-// queueing latched work behind a pool job whose calling thread holds a
-// reader section would deadlock against a waiting writer — don't.
-//
 // Lock order: a net thread takes its NetThread::mu and a connection's
 // write_mu strictly one at a time, never nested; no server lock is
 // held while calling into the engine.

@@ -31,7 +31,6 @@ struct ShardEngineOptions {
   size_t cache_pages = 256;
   bool memory_journal = false;
   bool group_commit = true;
-  bool snapshot_reads = true;
 };
 
 class ShardEngine {

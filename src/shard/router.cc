@@ -444,10 +444,8 @@ ShardCounters ShardRouter::CountersOf(uint32_t s) const {
   c.durable_epoch = ix->durable_epoch();
   c.journal_commits = engines_[s]->pager()->commit_count();
   c.pages = engines_[s]->pager()->page_count();
-  if (ix->snapshots_enabled()) {
-    c.pins_taken = ix->epoch_stats().pins_taken;
-    c.page_versions = ix->version_stats().live;
-  }
+  c.pins_taken = ix->epoch_stats().pins_taken;
+  c.page_versions = ix->version_stats().live;
   {
     MutexLock el(epoch_mu_);
     c.batches = shard_batches_[s];

@@ -48,8 +48,8 @@ PageId PageRef::id() const {
 
 const char* PageRef::data() const {
   assert(valid());
-  if (snap_ != nullptr) return snap_->data();
-  return pool_->shards_[shard_].frames[frame_].data.data();
+  if (snap_ != nullptr) return snap_.get();
+  return pool_->shards_[shard_].frames[frame_].data.get();
 }
 
 char* PageRef::mutable_data() {
@@ -57,10 +57,7 @@ char* PageRef::mutable_data() {
   if (snap_ != nullptr) {
     internal::LockAssertFail("mutable_data() on a snapshot-backed page");
   }
-  pool_->PrepareWrite(shard_, frame_);
-  BufferPool::Frame& f = pool_->shards_[shard_].frames[frame_];
-  f.dirty.store(true, std::memory_order_relaxed);
-  return f.data.data();
+  return pool_->PrepareWrite(shard_, frame_);
 }
 
 void PageRef::Release() {
@@ -74,8 +71,7 @@ void PageRef::Release() {
 BufferPool::BufferPool(Pager* pager, size_t capacity)
     : pager_(pager),
       capacity_(capacity),
-      shards_(PickShardCount(capacity)),
-      versions_(pager->page_size()) {
+      shards_(PickShardCount(capacity)) {
   assert(capacity >= 1);
   shard_mask_ = shards_.size() - 1;
   // Distribute frames round-robin so every shard gets within one frame of
@@ -85,7 +81,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity)
         capacity / shards_.size() + (s < capacity % shards_.size() ? 1 : 0);
     Shard& sh = shards_[s];
     sh.frames = std::vector<Frame>(n);
-    for (auto& f : sh.frames) f.data.resize(pager_->page_size());
     sh.free_frames.reserve(n);
     for (size_t i = n; i > 0; --i) {
       sh.free_frames.push_back(static_cast<uint32_t>(i - 1));
@@ -110,7 +105,7 @@ void BufferPool::Unpin(uint32_t shard, uint32_t frame) {
 Status BufferPool::WriteBack(Shard& s, Frame* f) {
   (void)s;  // capability token: proves the frame's shard lock is held
   if (!f->dirty.load(std::memory_order_relaxed)) return Status::OK();
-  ZDB_RETURN_IF_ERROR(pager_->WritePage(f->id, f->data.data()));
+  ZDB_RETURN_IF_ERROR(pager_->WritePage(f->id, f->data.get()));
   f->dirty.store(false, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -137,54 +132,46 @@ Result<uint32_t> BufferPool::AcquireFrame(Shard& s) {
   Frame& f = s.frames[victim];
   ZDB_RETURN_IF_ERROR(WriteBack(s, &f));
   ++pager_->mutable_io_stats()->pool_evictions;
-  s.table.erase(f.id);
+  // New() may have orphaned this frame (see there): only unmap the id
+  // if it still maps here.
+  auto it = s.table.find(f.id);
+  if (it != s.table.end() && it->second == victim) s.table.erase(it);
   f.id = kInvalidPageId;
+  f.data.reset();
   return victim;
 }
 
-void BufferPool::PrepareWrite(uint32_t shard, uint32_t frame) {
-  // Only the single armed mutator (exclusive index latch) reaches here
-  // with a nonzero stamp, so the stamp comparison cannot race another
-  // writer; the frame's bytes are stable under the mutator's own pin.
-  const uint64_t stamp = save_stamp_.load(std::memory_order_acquire);
-  if (stamp == 0) return;
-  Frame& f = shards_[shard].frames[frame];
-  if (f.save_stamp.load(std::memory_order_relaxed) == stamp) return;
-  versions_.SaveBeforeImage(f.id, stamp - 1, f.data.data());
-  f.save_stamp.store(stamp, std::memory_order_relaxed);
-}
-
-Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
-                                          PageId id) {
-  if (PageVersions::Buffer b = versions_.Lookup(id, view.epoch)) {
-    ++pager_->mutable_io_stats()->pool_hits;
-    ThreadIoStats* tls = GetThreadIoStats();
-    if (tls != nullptr) ++tls->pool_hits;
-    return PageRef(std::move(b), id);
+char* BufferPool::PrepareWrite(uint32_t shard, uint32_t frame) {
+  Shard& s = shards_[shard];
+  Frame& f = s.frames[frame];
+  // Only the single armed mutator (exclusive index latch) of this page
+  // reaches here under a scope, so the stamp comparison cannot race
+  // another writer; its own pin keeps the frame from being reused.
+  const VersioningScope* vs = VersioningScope::Current();
+  if (vs != nullptr &&
+      f.save_stamp.load(std::memory_order_relaxed) != vs->stamp()) {
+    // First mutation of the page in this batch: its buffer is the
+    // pre-batch image, which pinned readers may hold or still need.
+    // Hand it to the chain and write into a fresh copy. If the chain
+    // already holds this batch's image (keep-first: the page was
+    // re-loaded after a mid-batch eviction), no reader resolves to this
+    // buffer, so it is mutated in place; swapping it would drop the
+    // last reference to bytes the writer may still point into.
+    MutexLock lock(s.mu);
+    if (vs->versions()->SaveBeforeImage(f.id, vs->stamp() - 1, f.data)) {
+      const uint32_t n = pager_->page_size();
+      std::shared_ptr<char[]> fresh =
+          std::make_shared_for_overwrite<char[]>(n);
+      std::memcpy(fresh.get(), f.data.get(), n);
+      f.data = std::move(fresh);
+    }
+    f.save_stamp.store(vs->stamp(), std::memory_order_relaxed);
   }
-  // No image covers the pinned epoch: the live frame is current for it.
-  // Pin it through the normal path (the pin is transient — released
-  // before returning, so reload/discard barriers never wait on a
-  // snapshot ref), then copy the bytes under the chain shard mutex to
-  // order the copy against a concurrent first-mutation save.
-  PageRef live;
-  ZDB_ASSIGN_OR_RETURN(live, FetchLive(id));
-  PageVersions::Buffer b = versions_.ReadAtEpoch(id, view.epoch, live.data());
-  live.Release();
-  return PageRef(std::move(b), id);
+  f.dirty.store(true, std::memory_order_relaxed);
+  return f.data.get();
 }
 
-Result<PageRef> BufferPool::Fetch(PageId id) {
-  if (const SnapshotView* v = SnapshotView::FindPool(this)) {
-    return SnapshotFetch(*v, id);
-  }
-  return FetchLive(id);
-}
-
-Result<PageRef> BufferPool::FetchLive(PageId id) {
-  const uint32_t sidx = static_cast<uint32_t>(id) & shard_mask_;
-  Shard& s = shards_[sidx];
-  MutexLock lock(s.mu);
+Result<uint32_t> BufferPool::FindOrLoad(Shard& s, PageId id) {
   ThreadIoStats* tls = GetThreadIoStats();
   auto it = s.table.find(id);
   if (it != s.table.end()) {
@@ -193,23 +180,23 @@ Result<PageRef> BufferPool::FetchLive(PageId id) {
       ++tls->pool_hits;
       ++tls->pages_pinned;
     }
-    Frame& f = s.frames[it->second];
-    f.pins.fetch_add(1, std::memory_order_relaxed);
     Touch(s, it->second);
-    return PageRef(this, sidx, it->second);
+    return it->second;
   }
   ++pager_->mutable_io_stats()->pool_misses;
   if (tls != nullptr) ++tls->pool_misses;
   uint32_t idx;
   ZDB_ASSIGN_OR_RETURN(idx, AcquireFrame(s));
   Frame& f = s.frames[idx];
-  Status st = pager_->ReadPage(id, f.data.data());
+  // Always a fresh buffer: a reader may still hold the previous one.
+  f.data = std::make_shared_for_overwrite<char[]>(pager_->page_size());
+  Status st = pager_->ReadPage(id, f.data.get());
   if (!st.ok()) {
+    f.data.reset();
     s.free_frames.push_back(idx);
     return st;
   }
   f.id = id;
-  f.pins.store(1, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
   // Freshly loaded bytes may be the pre-batch image (or a mid-batch
   // re-load after eviction): force the next mutation through the save
@@ -218,7 +205,58 @@ Result<PageRef> BufferPool::FetchLive(PageId id) {
   s.table[id] = idx;
   Touch(s, idx);
   if (tls != nullptr) ++tls->pages_pinned;
+  return idx;
+}
+
+Result<PageRef> BufferPool::Fetch(PageId id) {
+  const uint32_t sidx = static_cast<uint32_t>(id) & shard_mask_;
+  Shard& s = shards_[sidx];
+  MutexLock lock(s.mu);
+  uint32_t idx;
+  ZDB_ASSIGN_OR_RETURN(idx, FindOrLoad(s, id));
+  s.frames[idx].pins.fetch_add(1, std::memory_order_relaxed);
   return PageRef(this, sidx, idx);
+}
+
+Result<PageRef> BufferPool::FetchAt(const SnapshotView* view, PageId id) {
+  if (view == nullptr) return Fetch(id);
+  const PageVersions& versions = *view->versions;
+  // Chain first: a page a concurrent batch mutated or freed resolves
+  // here without touching (or re-caching) the live page.
+  if (!versions.empty()) {
+    if (PageVersions::Buffer b = versions.Lookup(id, view->epoch)) {
+      ++pager_->mutable_io_stats()->pool_hits;
+      ThreadIoStats* tls = GetThreadIoStats();
+      if (tls != nullptr) {
+        ++tls->pool_hits;
+        ++tls->pages_pinned;
+      }
+      return PageRef(std::move(b), id);
+    }
+  }
+  PageVersions::Buffer live;
+  Status st;
+  {
+    Shard& s = shard_for(id);
+    MutexLock lock(s.mu);
+    auto r = FindOrLoad(s, id);
+    if (r.ok()) {
+      live = s.frames[r.value()].data;
+    } else {
+      st = r.status();
+    }
+  }
+  // Look again: a buffer taken after a writer's handoff is the writer's
+  // fresh copy (and a load racing a Delete reads a freed page), but the
+  // writer saved the true image to the chain first, and the shard mutex
+  // orders that save before this look.
+  if (!versions.empty()) {
+    if (PageVersions::Buffer b = versions.Lookup(id, view->epoch)) {
+      return PageRef(std::move(b), id);
+    }
+  }
+  ZDB_RETURN_IF_ERROR(st);
+  return PageRef(std::move(live), id);
 }
 
 Result<PageRef> BufferPool::New() {
@@ -227,6 +265,20 @@ Result<PageRef> BufferPool::New() {
   const uint32_t sidx = static_cast<uint32_t>(id) & shard_mask_;
   Shard& s = shards_[sidx];
   MutexLock lock(s.mu);
+  // A pinned reader whose chain miss raced the Delete of this id may
+  // have cached it again. Unmap that stale frame, so the id never maps
+  // to two frames (evicting the stale one would otherwise unmap the
+  // live one, and the next Fetch would read old bytes from the pager).
+  if (auto it = s.table.find(id); it != s.table.end()) {
+    Frame& stale = s.frames[it->second];
+    if (stale.pins.load(std::memory_order_acquire) == 0) {
+      stale.dirty.store(false, std::memory_order_relaxed);
+      stale.id = kInvalidPageId;
+      stale.data.reset();
+      s.free_frames.push_back(it->second);
+    }
+    s.table.erase(it);
+  }
   uint32_t idx;
   {
     auto r = AcquireFrame(s);
@@ -238,13 +290,14 @@ Result<PageRef> BufferPool::New() {
     idx = r.value();
   }
   Frame& f = s.frames[idx];
-  std::memset(f.data.data(), 0, f.data.size());
+  f.data = std::make_shared<char[]>(pager_->page_size());
   f.id = id;
   f.pins.store(1, std::memory_order_relaxed);
   f.dirty.store(true, std::memory_order_relaxed);
   // A fresh page has no pre-batch content to preserve (if the id was
   // freed earlier in this batch, the Delete hook already saved it).
-  f.save_stamp.store(save_stamp_.load(std::memory_order_acquire),
+  const VersioningScope* vs = VersioningScope::Current();
+  f.save_stamp.store(vs != nullptr ? vs->stamp() : 0,
                      std::memory_order_relaxed);
   s.table[id] = idx;
   Touch(s, idx);
@@ -254,7 +307,7 @@ Result<PageRef> BufferPool::New() {
 }
 
 Status BufferPool::Delete(PageId id) {
-  const uint64_t stamp = save_stamp_.load(std::memory_order_acquire);
+  const VersioningScope* vs = VersioningScope::Current();
   Shard& s = shard_for(id);
   {
     MutexLock lock(s.mu);
@@ -265,25 +318,28 @@ Status BufferPool::Delete(PageId id) {
         return Status::InvalidArgument("deleting a pinned page");
       }
       // A pinned reader may still need this page at an older epoch:
-      // preserve its pre-batch image before the id is recycled. If this
-      // batch already mutated the page, the true pre-batch bytes are in
-      // the chain and keep-first makes this a no-op.
-      if (stamp != 0 && f.save_stamp.load(std::memory_order_relaxed) !=
-                            stamp) {
-        versions_.SaveBeforeImage(id, stamp - 1, f.data.data());
+      // hand its pre-batch image to the chain before the id is
+      // recycled. If this batch already mutated the page, the true
+      // pre-batch bytes are in the chain and keep-first drops this save.
+      if (vs != nullptr &&
+          f.save_stamp.load(std::memory_order_relaxed) != vs->stamp()) {
+        (void)vs->versions()->SaveBeforeImage(id, vs->stamp() - 1, f.data);
       }
       // Contents are garbage now; never write back.
       f.dirty.store(false, std::memory_order_relaxed);
       f.id = kInvalidPageId;
+      f.data.reset();
       s.free_frames.push_back(it->second);
       s.table.erase(it);
-    } else if (stamp != 0) {
+    } else if (vs != nullptr) {
       // Uncached: the disk image is the pre-batch image unless this
       // batch mutated the page and it was evicted — in which case the
       // chain already holds the true one and keep-first skips the save.
-      std::vector<char> buf(pager_->page_size());
-      ZDB_RETURN_IF_ERROR(pager_->ReadPage(id, buf.data()));
-      versions_.SaveBeforeImage(id, stamp - 1, buf.data());
+      std::shared_ptr<char[]> buf =
+          std::make_shared_for_overwrite<char[]>(pager_->page_size());
+      ZDB_RETURN_IF_ERROR(pager_->ReadPage(id, buf.get()));
+      (void)vs->versions()->SaveBeforeImage(id, vs->stamp() - 1,
+                                            std::move(buf));
     }
   }
   return pager_->Free(id);
@@ -338,6 +394,7 @@ Status BufferPool::Clear() {
           return Status::InvalidArgument("clearing pinned page");
         }
         f.id = kInvalidPageId;
+        f.data.reset();
         s.free_frames.push_back(i);
       }
     }
@@ -367,6 +424,7 @@ Status BufferPool::Discard() {
       if (f.id != kInvalidPageId) {
         f.dirty.store(false, std::memory_order_relaxed);
         f.id = kInvalidPageId;
+        f.data.reset();
         s.free_frames.push_back(i);
       }
     }

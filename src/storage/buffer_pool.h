@@ -16,12 +16,21 @@
 // single shard, preserving the exact global-LRU semantics the cold-cache
 // experiments rely on. FlushAll/Clear lock all shards and are intended to
 // be called from one thread with no concurrent mutators.
+//
+// Page buffers are reference-counted. A pinned snapshot reader
+// (FetchAt) takes a counted reference to the cached buffer instead of a
+// frame pin, so it never blocks eviction, Delete or Discard, and the
+// bytes it holds stay valid after the frame is reused: a buffer a
+// reader may hold is never written again (see storage/snapshot.h for
+// the writer's buffer handoff). A frame gets a fresh buffer whenever it
+// loads or creates a page.
 
 #ifndef ZDB_STORAGE_BUFFER_POOL_H_
 #define ZDB_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -39,11 +48,11 @@ class BufferPool;
 /// evicted and its data pointer stays valid. Move-only. A PageRef may be
 /// released from any thread.
 ///
-/// A PageRef can also be backed by an immutable snapshot buffer instead
-/// of a pool frame (returned by Fetch under an installed SnapshotView).
-/// Such a ref holds no pin — it shares ownership of a version-chain
-/// buffer — and aborts on mutable_data(): snapshot pages are read-only
-/// by construction.
+/// A PageRef can also be backed by an immutable page buffer instead of
+/// a pinned frame (returned by BufferPool::FetchAt). Such a ref holds no
+/// pin — it shares ownership of a cached or version-chain buffer — and
+/// aborts on mutable_data(): snapshot pages are read-only by
+/// construction.
 class PageRef {
  public:
   PageRef() = default;
@@ -60,9 +69,11 @@ class PageRef {
   /// Read-only view of the page bytes.
   const char* data() const;
 
-  /// Mutable view; automatically marks the page dirty and, when the
-  /// pool's versioning is armed, saves the page's pre-batch image into
-  /// the version chains first (copy-on-write for pinned readers).
+  /// Mutable view; automatically marks the page dirty. Under an
+  /// installed VersioningScope, the batch's first call hands the page's
+  /// pre-batch buffer to the version chains and returns a fresh copy,
+  /// so pointers from earlier data() calls keep reading the pre-batch
+  /// bytes: re-read data() after the first mutable_data().
   char* mutable_data();
 
   /// Drops the pin early (also done by the destructor).
@@ -93,14 +104,26 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins page `id`, reading it from the pager on a miss. Thread-safe.
+  /// The live read and write path.
   [[nodiscard]] Result<PageRef> Fetch(PageId id);
 
-  /// Allocates a fresh page, pinned and zero-filled (and dirty).
+  /// Resolves page `id` at `view`'s pinned epoch: the version-chain
+  /// image if one covers the epoch, otherwise a counted reference to
+  /// the cached buffer (read from the pager on a miss). The ref holds
+  /// no frame pin. Counts hits, misses and pages pinned like Fetch.
   /// Thread-safe.
+  /// A null `view` is the live Fetch, so components that may run under
+  /// a snapshot view pass whatever view covers them.
+  [[nodiscard]] Result<PageRef> FetchAt(const SnapshotView* view, PageId id);
+
+  /// Allocates a fresh page, pinned and zero-filled (and dirty). If a
+  /// pinned reader re-cached the recycled id after it was freed, that
+  /// stale frame is dropped first. Thread-safe.
   [[nodiscard]] Result<PageRef> New();
 
   /// Removes page `id` from the pool (must be unpinned) and frees it in
-  /// the pager.
+  /// the pager. Under an installed VersioningScope the page's pre-batch
+  /// image is saved to the chains first.
   [[nodiscard]] Status Delete(PageId id);
 
   /// Writes back every dirty unpinned page. If dirty pages remain pinned
@@ -132,20 +155,6 @@ class BufferPool {
   Pager* pager() const { return pager_; }
   size_t capacity() const { return capacity_; }
 
-  /// The before-image version chains backing snapshot reads. Always
-  /// present; empty (and never written) until versioning is armed.
-  PageVersions* versions() { return &versions_; }
-
-  /// Arms copy-on-write before-images for the write batch that will
-  /// publish epoch `stamp` (stamp = current epoch + 1): until re-armed,
-  /// the first mutation of each page saves its current bytes tagged
-  /// `stamp - 1`. Called by the index writer section under the
-  /// exclusive latch; 0 (the initial value) means versioning is off and
-  /// mutable_data() saves nothing.
-  void ArmVersioning(uint64_t stamp) {
-    save_stamp_.store(stamp, std::memory_order_release);
-  }
-
   /// Number of table shards (1 for small pools).
   size_t shard_count() const { return shards_.size(); }
 
@@ -162,13 +171,15 @@ class BufferPool {
   /// Frame fields are deliberately NOT GUARDED_BY(shard mu): id/data are
   /// read by pinned PageRefs without the shard lock (the pin count — not
   /// the mutex — is what keeps them stable), and pins/dirty are atomics.
-  /// id and last_used are only *mutated* under the shard lock.
-  /// save_stamp marks the versioning batch whose before-image save this
-  /// frame already performed (0 = none since load); it is written under
-  /// the shard lock on load and by the single armed mutator otherwise.
+  /// id, data and last_used are only *mutated* under the shard lock
+  /// (FetchAt copies `data` under it too). `data` is null while the
+  /// frame is free. save_stamp marks the versioning batch whose
+  /// before-image save this frame already performed (0 = none since
+  /// load); it is written under the shard lock on load and by the
+  /// single armed mutator otherwise.
   struct Frame {
     PageId id = kInvalidPageId;
-    std::vector<char> data;
+    std::shared_ptr<char[]> data;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> dirty{false};
     uint64_t last_used = 0;
@@ -203,23 +214,20 @@ class BufferPool {
   /// Shared body of FlushAll/FlushForCommit.
   Status FlushInternal(bool include_pinned);
 
-  /// The non-redirecting Fetch body (live frames only).
-  Result<PageRef> FetchLive(PageId id);
+  /// The shared hit/miss step of Fetch and FetchAt: the frame caching
+  /// `id`, read from the pager into a fresh buffer on a miss. Counts the
+  /// hit or miss and the page pinned.
+  Result<uint32_t> FindOrLoad(Shard& s, PageId id) REQUIRES(s.mu);
 
-  /// Resolves `id` at the view's pinned epoch: chain entry if one
-  /// covers the epoch, otherwise a copy of the live frame taken under
-  /// the chain shard mutex. The returned ref holds no pin.
-  Result<PageRef> SnapshotFetch(const SnapshotView& view, PageId id);
-
-  /// First-mutation hook behind PageRef::mutable_data().
-  void PrepareWrite(uint32_t shard, uint32_t frame);
+  /// Body of PageRef::mutable_data(): marks the frame dirty and, on the
+  /// batch's first mutation under a VersioningScope, hands the buffer to
+  /// the chains and swaps in a fresh copy. Returns the bytes to write.
+  char* PrepareWrite(uint32_t shard, uint32_t frame);
 
   Pager* pager_;
   size_t capacity_;
   size_t shard_mask_;            ///< shard count - 1 (power of two)
   std::vector<Shard> shards_;
-  PageVersions versions_;
-  std::atomic<uint64_t> save_stamp_{0};
 };
 
 }  // namespace zdb

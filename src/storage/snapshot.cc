@@ -3,7 +3,6 @@
 #include "storage/snapshot.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace zdb {
 
@@ -12,21 +11,24 @@ namespace {
 /// Innermost installed view for this thread, or nullptr.
 thread_local const SnapshotView* t_view_top = nullptr;
 
+/// This thread's armed writer batch, or nullptr.
+thread_local const VersioningScope* t_versioning = nullptr;
+
 }  // namespace
 
-void PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
-                                   const char* data) {
+bool PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
+                                   Buffer image) {
   Shard& s = shard_for(page);
   MutexLock lock(s.mu);
   std::vector<Entry>& chain = s.chains[page];
   // Epochs are monotonic, so an entry for this as_of — if any — is the
   // last one. Keep-first: it already holds the true pre-batch bytes.
-  if (!chain.empty() && chain.back().as_of >= as_of) return;
-  auto buf = std::make_shared<std::vector<char>>(data, data + page_size_);
-  chain.push_back(Entry{as_of, std::move(buf)});
-  live_.fetch_add(1, std::memory_order_relaxed);
+  if (!chain.empty() && chain.back().as_of >= as_of) return false;
+  chain.push_back(Entry{as_of, std::move(image)});
+  live_.fetch_add(1, std::memory_order_release);
   bytes_.fetch_add(page_size_, std::memory_order_relaxed);
   saved_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 PageVersions::Buffer PageVersions::Lookup(PageId page, uint64_t epoch) const {
@@ -40,26 +42,6 @@ PageVersions::Buffer PageVersions::Lookup(PageId page, uint64_t epoch) const {
       [](const Entry& entry, uint64_t ep) { return entry.as_of < ep; });
   if (e == chain.end()) return nullptr;
   return e->data;
-}
-
-PageVersions::Buffer PageVersions::ReadAtEpoch(PageId page, uint64_t epoch,
-                                               const char* live_data) {
-  Shard& s = shard_for(page);
-  MutexLock lock(s.mu);
-  auto it = s.chains.find(page);
-  if (it != s.chains.end()) {
-    const std::vector<Entry>& chain = it->second;
-    auto e = std::lower_bound(
-        chain.begin(), chain.end(), epoch,
-        [](const Entry& entry, uint64_t ep) { return entry.as_of < ep; });
-    if (e != chain.end()) return e->data;
-  }
-  // No image covers `epoch`: the live frame is current for it. The copy
-  // runs under the shard mutex, so a concurrent writer's first-mutation
-  // SaveBeforeImage (same mutex) cannot interleave with it — and the
-  // writer only stores into the frame *after* that save completes.
-  return std::make_shared<std::vector<char>>(live_data,
-                                             live_data + page_size_);
 }
 
 void PageVersions::ReclaimBefore(uint64_t min_epoch) {
@@ -115,9 +97,6 @@ const SnapshotView* FindByTag(const void* p) {
 
 }  // namespace
 
-const SnapshotView* SnapshotView::FindPool(const void* pool) {
-  return FindByTag<&SnapshotView::pool>(pool);
-}
 const SnapshotView* SnapshotView::FindOwner(const void* owner) {
   return FindByTag<&SnapshotView::owner>(owner);
 }
@@ -137,5 +116,14 @@ SnapshotScope::SnapshotScope(SnapshotView view) : view_(std::move(view)) {
 }
 
 SnapshotScope::~SnapshotScope() { t_view_top = view_.prev; }
+
+VersioningScope::VersioningScope(PageVersions* versions, uint64_t stamp)
+    : versions_(versions), stamp_(stamp) {
+  t_versioning = this;
+}
+
+VersioningScope::~VersioningScope() { t_versioning = nullptr; }
+
+const VersioningScope* VersioningScope::Current() { return t_versioning; }
 
 }  // namespace zdb

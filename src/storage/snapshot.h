@@ -6,23 +6,28 @@
 //
 // Model: every write batch publishes one write epoch E under the
 // exclusive index latch. While the batch runs, the first mutation of a
-// page through PageRef::mutable_data() appends the page's *pre-batch*
-// bytes to its version chain, tagged `as_of = E-1` ("content at the end
-// of epoch E-1"). A reader pinned at epoch P resolves a page by taking
-// the first chain entry with `as_of >= P` (the oldest image still valid
-// at P); if there is none, the live frame is current for P and its
-// bytes are copied out under the chain shard mutex — the same mutex the
-// writer's first-mutation save takes — so the copy is ordered either
-// entirely before the save (clean pre-batch bytes) or after it (the
-// reader then hits the chain instead). Later mutations of the same page
-// in the same batch skip the save, but by then the chain entry exists
-// and pinned readers never touch the live frame again.
+// page through PageRef::mutable_data() hands the page's cached buffer —
+// its *pre-batch* bytes — to the version chain tagged `as_of = E-1`
+// ("content at the end of epoch E-1") and writes into a fresh copy, so
+// no buffer a reader may hold is ever written again. A reader pinned at
+// epoch P resolves a page by taking the first chain entry with
+// `as_of >= P` (the oldest image still valid at P); if there is none,
+// the live buffer is current for P and the reader takes a counted
+// reference to it (BufferPool::FetchAt). The reader looks in the chain
+// before and again after taking the live buffer: a buffer taken after a
+// handoff is the writer's fresh copy, but the handoff put the true
+// image in the chain first, so the second look finds it.
 //
 // Chains are append-only per page (epochs are monotonic), so entries
 // stay sorted by as_of without re-sorting. ReclaimBefore(M) drops every
 // entry with as_of < M: no pin below M exists or can be created (the
 // epoch manager computes M under its pin mutex), so nothing can look
 // those entries up again.
+//
+// One PageVersions belongs to one index: its epochs tag the entries,
+// and its epoch manager reclaims them. Indexes that share a buffer pool
+// keep separate tables, so one index's GC never drops another's
+// before-images.
 
 #ifndef ZDB_STORAGE_SNAPSHOT_H_
 #define ZDB_STORAGE_SNAPSHOT_H_
@@ -50,33 +55,35 @@ struct PageVersionStats {
   uint64_t reclaimed = 0;
 };
 
-/// Sharded PageId -> before-image chain table. One instance per
-/// BufferPool. Thread-safe; see the file comment for the copy protocol.
+/// Sharded PageId -> before-image chain table. One instance per index.
+/// Thread-safe; see the file comment for the handoff protocol.
 class PageVersions {
  public:
-  using Buffer = std::shared_ptr<const std::vector<char>>;
+  /// A page image shared between the buffer pool, the chains and the
+  /// readers holding it. Immutable once a reader can reach it.
+  using Buffer = std::shared_ptr<const char[]>;
 
   explicit PageVersions(uint32_t page_size) : page_size_(page_size) {}
   PageVersions(const PageVersions&) = delete;
   PageVersions& operator=(const PageVersions&) = delete;
 
-  /// Appends the pre-batch image of `page` (exactly page_size bytes)
-  /// tagged `as_of`, unless an entry for that as_of already exists —
-  /// keep-first: only the batch's *first* save holds the true pre-batch
-  /// bytes, and re-saves (checkpoint + batch sharing a stamp, a freed
-  /// page re-deleted) must not overwrite it.
-  void SaveBeforeImage(PageId page, uint64_t as_of, const char* data);
+  /// Appends `image` (exactly page_size bytes, never written again) as
+  /// the pre-batch image of `page` tagged `as_of` and returns true,
+  /// unless an entry for that as_of already exists — keep-first: only
+  /// the batch's *first* save holds the true pre-batch bytes, and
+  /// re-saves (checkpoint + batch sharing a stamp, a page re-loaded
+  /// mid-batch, a freed page re-deleted) must not overwrite it. Returns
+  /// false then, and the caller still owns `image`.
+  bool SaveBeforeImage(PageId page, uint64_t as_of, Buffer image);
 
   /// First chain entry with as_of >= epoch, or nullptr if the live
-  /// frame is current for `epoch`.
+  /// buffer is current for `epoch`.
   Buffer Lookup(PageId page, uint64_t epoch) const;
 
-  /// The pinned-reader resolution step for a chain miss: re-checks the
-  /// chain and, still on a miss, copies `live_data` under the shard
-  /// mutex (ordering the copy against a concurrent first-mutation
-  /// save). `live_data` must stay valid across the call — the caller
-  /// holds a buffer-pool pin on the frame.
-  Buffer ReadAtEpoch(PageId page, uint64_t epoch, const char* live_data);
+  /// True while any chain entry exists; a pinned fetch skips both chain
+  /// looks when false. An entry saved before a buffer handoff that a
+  /// reader observed (through the pool shard mutex) is always counted.
+  bool empty() const { return live_.load(std::memory_order_acquire) == 0; }
 
   /// Drops every entry with as_of < min_epoch. Called by the GC thread
   /// once no pin at or below those epochs can exist.
@@ -126,9 +133,10 @@ struct SnapshotMeta {
 
 /// A thread-local redirection record: while installed (via
 /// SnapshotScope), reads through the tagged components resolve at
-/// `epoch` instead of the live state. BufferPool::Fetch matches `pool`,
-/// BTree matches `btree`, the stores match `objects`/`polygons`, and
-/// SpatialIndex matches `owner` (level mask / live-object count). Tags
+/// `epoch` instead of the live state. BTree matches `btree`, the stores
+/// match `objects`/`polygons`, and SpatialIndex matches `owner` (level
+/// mask / live-object count); each component passes its view to
+/// BufferPool::FetchAt, which resolves pages through `versions`. Tags
 /// are opaque pointers so storage/ stays ignorant of core/ types.
 ///
 /// Views form a per-thread stack (nested queries — e.g. kNN issuing
@@ -137,8 +145,7 @@ struct SnapshotMeta {
 /// view for the component.
 struct SnapshotView {
   uint64_t epoch = 0;
-  PageVersions* versions = nullptr;
-  const void* pool = nullptr;
+  const PageVersions* versions = nullptr;
   const void* owner = nullptr;
   const void* btree = nullptr;
   const void* objects = nullptr;
@@ -146,7 +153,6 @@ struct SnapshotView {
   std::shared_ptr<const SnapshotMeta> meta;
   const SnapshotView* prev = nullptr;
 
-  static const SnapshotView* FindPool(const void* pool);
   static const SnapshotView* FindOwner(const void* owner);
   static const SnapshotView* FindBTree(const void* btree);
   static const SnapshotView* FindObjects(const void* objects);
@@ -165,6 +171,30 @@ class SnapshotScope {
 
  private:
   SnapshotView view_;
+};
+
+/// The writer half of the protocol: while installed on a thread, the
+/// first mutation of each page through PageRef::mutable_data() (and
+/// every BufferPool::Delete) on that thread saves the page's pre-batch
+/// image into `versions` tagged `stamp - 1`. The index's writer section
+/// installs one for the batch that will publish epoch `stamp`. Not
+/// nestable; destroy on the creating thread.
+class VersioningScope {
+ public:
+  VersioningScope(PageVersions* versions, uint64_t stamp);
+  ~VersioningScope();
+  VersioningScope(const VersioningScope&) = delete;
+  VersioningScope& operator=(const VersioningScope&) = delete;
+
+  /// The scope installed on this thread, or nullptr.
+  static const VersioningScope* Current();
+
+  PageVersions* versions() const { return versions_; }
+  uint64_t stamp() const { return stamp_; }
+
+ private:
+  PageVersions* versions_;
+  uint64_t stamp_;
 };
 
 }  // namespace zdb

@@ -57,7 +57,6 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
   eopt.cache_pages = options.cache_pages;
   eopt.memory_journal = options.memory_journal;
   eopt.group_commit = options.group_commit;
-  eopt.snapshot_reads = options.snapshot_reads;
 
   // Resolve the shard layout. The stored layout always wins on reopen:
   // a file starting with the shard manifest magic reopens sharded with
@@ -247,24 +246,21 @@ DBStats DB::Stats() const {
   s.durable_epoch = router->durable_epoch();
   s.page_size = router->engine(0)->pager()->page_size();
   s.group_commit = router->index(0)->group_commit_active();
-  s.snapshot_reads = router->index(0)->snapshots_enabled();
   for (uint32_t i = 0; i < router->shards(); ++i) {
     const SpatialIndex* index = router->index(i);
     const Pager* pager = router->engine(i)->pager();
     s.index_entries += index->build_stats().index_entries;
     s.journal_commits += pager->commit_count();
     s.pages += pager->page_count();
-    if (index->snapshots_enabled()) {
-      const EpochStats es = index->epoch_stats();
-      s.pinned_epochs += es.pinned;
-      s.pins_taken += es.pins_taken;
-      s.gc_cycles += es.gc_cycles;
-      const PageVersionStats vs = index->version_stats();
-      s.page_versions += vs.live;
-      s.version_bytes += vs.bytes;
-      s.versions_saved += vs.saved;
-      s.versions_reclaimed += vs.reclaimed;
-    }
+    const EpochStats es = index->epoch_stats();
+    s.pinned_epochs += es.pinned;
+    s.pins_taken += es.pins_taken;
+    s.gc_cycles += es.gc_cycles;
+    const PageVersionStats vs = index->version_stats();
+    s.page_versions += vs.live;
+    s.version_bytes += vs.bytes;
+    s.versions_saved += vs.saved;
+    s.versions_reclaimed += vs.reclaimed;
   }
   s.redundancy =
       s.objects == 0 ? 0.0 : static_cast<double>(s.index_entries) / s.objects;

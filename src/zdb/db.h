@@ -84,14 +84,6 @@ struct DBOptions {
   /// commit-per-batch path.
   bool group_commit = true;
 
-  /// Serve queries from epoch-pinned snapshots instead of the shared
-  /// reader latch (see the "snapshot reads" section of spatial_index.h):
-  /// each query pins the current committed epoch and traverses
-  /// copy-on-write page versions latch-free, so long scans never stall a
-  /// writer and a writer never stalls readers. Disable to get the legacy
-  /// latched reader path.
-  bool snapshot_reads = true;
-
   /// Number of z-prefix shard engines, 1..64. Used when creating; a
   /// reopened DB keeps its stored shard layout. 1 (the default) is the
   /// classic single-engine DB.
@@ -122,7 +114,6 @@ struct DBStats {
   uint32_t pages = 0;          ///< pages allocated in the file(s)
   uint32_t page_size = 0;
   bool group_commit = false;   ///< pipeline currently running
-  bool snapshot_reads = false;  ///< epoch-pinned latch-free queries on
   uint32_t shards = 1;          ///< shard engines behind the facade
   uint64_t pinned_epochs = 0;   ///< snapshot pins currently open
   uint64_t pins_taken = 0;      ///< snapshot pins ever taken

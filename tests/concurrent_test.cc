@@ -135,11 +135,10 @@ TEST(Concurrent, MixedQueryStress) {
 TEST(Concurrent, ExecutorBatchesUnderContention) {
   // The executor's worker pool plus an outside reader thread — both
   // paths share the index and buffer pool.
-  DBOptions dopt;  // in-memory, unjournaled, latched reads
+  DBOptions dopt;  // in-memory, unjournaled
   dopt.index.data = DecomposeOptions::SizeBound(4);
   dopt.page_size = 512;
   dopt.cache_pages = 96;
-  dopt.snapshot_reads = false;
   auto db = DB::Open("", dopt).value();
   SpatialIndex* index = db->index();
   DataGenOptions dg;
@@ -176,43 +175,6 @@ TEST(Concurrent, ExecutorBatchesUnderContention) {
   }
   outsider.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// Acquiring a second ReaderSection on the same index from one thread is
-// a latent deadlock: a writer arriving between the two acquisitions
-// parks at the gate, and the writer-preference gate then blocks the
-// nested reader forever. Debug builds assert on the nested acquisition
-// instead of deadlocking; release builds compile the check out, so the
-// test only runs where the assert exists.
-TEST(ConcurrentDeathTest, NestedReaderSectionAssertsInDebug) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "nested-ReaderSection assert is debug-only";
-#else
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 64);
-  SpatialIndexOptions opt;
-  opt.data = DecomposeOptions::SizeBound(4);
-  auto index = SpatialIndex::Create(&pool, opt).value();
-  ASSERT_TRUE(index->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-
-  EXPECT_DEATH(
-      {
-        auto outer = index->ReaderSection();
-        auto inner = index->ReaderSection();  // must trip the assert
-      },
-      "nested ReaderSection");
-
-  // Two sections on *different* indexes from one thread are fine (the
-  // pattern SpatialJoin uses); the per-index bookkeeping must not trip.
-  auto index2 = SpatialIndex::Create(&pool, opt).value();
-  {
-    auto a = index->ReaderSection();
-    auto b = index2->ReaderSection();
-  }
-  // And sequential re-acquisition after release is fine too.
-  { auto again = index->ReaderSection(); }
-#endif
 }
 
 // The ASSERT_CAPABILITY annotations on zdb::Mutex / zdb::SharedMutex are

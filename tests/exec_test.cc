@@ -29,14 +29,13 @@ struct ExecFixture {
     }
   }
 
-  /// In-memory, unjournaled, latched reads, 512-byte pages.
+  /// In-memory, unjournaled, 512-byte pages.
   static std::unique_ptr<DB> OpenDB(const SpatialIndexOptions& opt,
                                     size_t pool_pages) {
     DBOptions dopt;
     dopt.index = opt;
     dopt.page_size = 512;
     dopt.cache_pages = pool_pages;
-    dopt.snapshot_reads = false;
     return DB::Open("", dopt).value();
   }
 
@@ -223,6 +222,8 @@ TEST(QueryExecutor, PlanSliceUnionCoversWholeQuery) {
   // candidate set — the invariant ParallelWindowQuery builds on.
   ExecFixture f;
   const Rect w{0.1, 0.1, 0.6, 0.55};
+  const EpochPin pin = f.index->PinEpoch();
+  auto scope = f.index->OpenSnapshot(pin).value();
   auto plan = f.index->PlanWindow(w).value();
   ASSERT_GT(plan.work_items(), 0u);
 

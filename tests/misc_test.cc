@@ -1,10 +1,14 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// Odds and ends: bench-table rendering, cursor error paths, seek
-// boundary semantics, polygon-store capacity across page sizes.
+// Odds and ends: bench-table rendering, bench argv parsing, cursor
+// error paths, seek boundary semantics, polygon-store capacity across
+// page sizes.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "bench_util/runner.h"
 #include "bench_util/table.h"
 #include "btree/btree.h"
 #include "btree/cursor.h"
@@ -74,6 +78,45 @@ TEST(PolygonStore, CapacityScalesWithPageSize) {
     ring.push_back(Point{0, 0});
     EXPECT_TRUE(store.Insert(Polygon(ring)).status().IsInvalidArgument());
   }
+}
+
+
+// ------------------------------------------------------ bench argv
+
+TEST(BenchArgs, ParseCountAcceptsPositiveDecimals) {
+  EXPECT_EQ(ParseCount("1").value(), 1u);
+  EXPECT_EQ(ParseCount("20000").value(), 20000u);
+  EXPECT_EQ(ParseCount("007").value(), 7u);
+  EXPECT_EQ(ParseCount("18446744073709551615").value(),
+            std::numeric_limits<size_t>::max());
+}
+
+TEST(BenchArgs, ParseCountRejectsMalformedInput) {
+  for (const char* bad : {"", "abc", "12abc", " 12", "12 ", "-5", "+5",
+                          "0", "000", "1.5", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    auto r = ParseCount(bad);
+    EXPECT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseCount(nullptr).ok());
+}
+
+TEST(BenchArgs, CountArgFallsBackWhenAbsent) {
+  char prog[] = "bench";
+  char arg[] = "42";
+  char* argv[] = {prog, arg};
+  EXPECT_EQ(CountArg(1, argv, 1, 20000, "[objects]"), 20000u);
+  EXPECT_EQ(CountArg(2, argv, 1, 20000, "[objects]"), 42u);
+}
+
+TEST(BenchArgsDeathTest, CountArgExitsWithUsageOnGarbage) {
+  char prog[] = "bench_e2_window_io";
+  char arg[] = "abc";
+  char* argv[] = {prog, arg};
+  EXPECT_EXIT((void)CountArg(2, argv, 1, 20000, "[objects]"),
+              ::testing::ExitedWithCode(2),
+              "usage: bench_e2_window_io \\[objects\\]");
 }
 
 }  // namespace

@@ -117,13 +117,12 @@ struct TestServer {
   std::unique_ptr<Server> server;
 
   explicit TestServer(ServerOptions opt = {}, size_t pool_pages = 256) {
-    // In-memory, unjournaled, latched reads: 512-byte pages and a
-    // `pool_pages`-frame cache.
+    // In-memory, unjournaled: 512-byte pages and a `pool_pages`-frame
+    // cache.
     DBOptions dopt;
     dopt.index.data = DecomposeOptions::SizeBound(8);
     dopt.page_size = 512;
     dopt.cache_pages = pool_pages;
-    dopt.snapshot_reads = false;
     db = DB::Open("", dopt).value();
     opt.idle_timeout_ms = opt.idle_timeout_ms == 30000 ? 0 : opt.idle_timeout_ms;
     server = std::make_unique<Server>(db.get(), opt);

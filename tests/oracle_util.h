@@ -7,9 +7,9 @@
 // and query sets to replay against any of those states.
 //
 // Two checking modes:
-//   * range checks (Matches*InRange) — for latched concurrent readers,
-//     whose answer must equal the oracle at exactly one epoch in the
-//     [e0, e1] bracket the reader observed;
+//   * range checks (Matches*InRange) — for concurrent readers that
+//     bracket a query with write epochs, whose answer must equal the
+//     oracle at exactly one epoch in the [e0, e1] bracket observed;
 //   * exact-state checks (ExpectedWindow/ExpectedPoint/KnnMatchesState)
 //     — for epoch-pinned snapshot readers, whose answer must equal the
 //     oracle at precisely the pinned epoch, every time it is re-read.

@@ -115,9 +115,8 @@ TEST(Snapshot, EveryPinnedBoundaryMatchesBruteForceOracle) {
   const Workload w = MakeWorkload(seed, SnapshotShape());
 
   auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 128);  // small pool: forces CoW saves
+  BufferPool pool(pager.get(), 128);  // small pool: evicts mid-batch
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   // Pin boundary k, then apply batch k to step to boundary k+1.
@@ -149,15 +148,14 @@ TEST(Snapshot, EveryPinnedBoundaryMatchesBruteForceOracle) {
   }
 
   // The live (unpinned) path must answer the final state.
-  EXPECT_TRUE(index->snapshots_enabled());
   auto all = index->WindowQuery(Rect{0, 0, 1, 1}).value();
   EXPECT_EQ(all, ExpectedWindow(w.states.back(), Rect{0, 0, 1, 1}));
   ASSERT_TRUE(index->btree()->CheckInvariants().ok());
 }
 
-// The auto-pin wrappers (public queries with snapshots enabled) must
-// still satisfy the epoch-bracket oracle check the latched path did:
-// each answer equals the oracle at exactly one committed boundary.
+// The auto-pin wrappers (the public queries) must satisfy the
+// epoch-bracket oracle check: each answer equals the oracle at exactly
+// one committed boundary.
 TEST(SnapshotStress, AutoPinnedQueriesMatchOracleUnderChurn) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 1);
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
@@ -166,7 +164,6 @@ TEST(SnapshotStress, AutoPinnedQueriesMatchOracleUnderChurn) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   std::atomic<bool> writer_done{false};
@@ -224,7 +221,6 @@ TEST(SnapshotStress, PinnedReadersRereadIdenticallyUnderWriterChurn) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);  // tiny pool: constant eviction
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   std::atomic<bool> writer_done{false};
@@ -292,9 +288,8 @@ TEST(SnapshotStress, PinnedReadersRereadIdenticallyUnderWriterChurn) {
 }
 
 // A parked long-lived pin must not block writers: the whole batch
-// sequence completes while the pin is held (a latched long scan would
-// have wedged the writer-preference gate for its duration), and the
-// parked pin still answers its original boundary afterwards.
+// sequence completes while the pin is held, and the parked pin still
+// answers its original boundary afterwards.
 TEST(SnapshotStress, ParkedPinNeverBlocksWriterProgress) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 3);
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
@@ -303,7 +298,6 @@ TEST(SnapshotStress, ParkedPinNeverBlocksWriterProgress) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   // Park the pin and take its baseline answers.
@@ -348,7 +342,6 @@ TEST(SnapshotGc, ReleasedPinAllowsVersionReclamation) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   EpochPin parked = index->PinEpoch();
   for (const WriteBatch& batch : w.batches) {
@@ -387,7 +380,6 @@ TEST(SnapshotGc, FloorIsMinimumAcrossPins) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   EpochPin old_pin = index->PinEpoch();
@@ -416,7 +408,32 @@ TEST(SnapshotGc, FloorIsMinimumAcrossPins) {
   EXPECT_EQ(index->version_stats().live, 0u);
 }
 
-// The background GC thread (started by EnableSnapshots) reclaims on its
+// Two indexes on one pool version their pages in separate chains: A's
+// GC floor (its own epoch) must not reclaim the before-image of a page
+// B mutated under a live B pin.
+TEST(SnapshotGc, SharedPoolIndexesKeepEachOthersVersions) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 128);
+  SpatialIndexOptions opt;
+  opt.data = DecomposeOptions::SizeBound(4);
+  auto a = SpatialIndex::Create(&pool, opt).value();
+  auto b = SpatialIndex::Create(&pool, opt).value();
+  const Rect world{0, 0, 1, 1};
+
+  const EpochPin pin = b->PinEpoch();
+  const auto pinned = b->WindowQueryAt(pin, world).value();
+  ASSERT_TRUE(b->Insert(Rect{0.4, 0.4, 0.5, 0.5}).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(a->Insert(Rect{0.05 * i, 0.1, 0.05 * i + 0.03, 0.2}).ok());
+  }
+  a->epochs()->RunGcCycle();
+
+  auto r = b->WindowQueryAt(pin, world);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), pinned);
+}
+
+// The background GC thread (started by Create/Open) reclaims on its
 // own once the pins go away — no manual cycle required.
 TEST(SnapshotGc, BackgroundThreadReclaimsAfterRelease) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 6);
@@ -425,7 +442,6 @@ TEST(SnapshotGc, BackgroundThreadReclaimsAfterRelease) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   {
     const EpochPin pin = index->PinEpoch();
@@ -456,7 +472,6 @@ TEST(SnapshotDeathTest, DoubleReleaseAborts) {
   opt.data = DecomposeOptions::SizeBound(4);
   auto index = SpatialIndex::Create(&pool, opt).value();
   ASSERT_TRUE(index->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   EXPECT_DEATH(
       {
@@ -475,7 +490,6 @@ TEST(SnapshotDeathTest, CrossThreadReleaseAborts) {
   opt.data = DecomposeOptions::SizeBound(4);
   auto index = SpatialIndex::Create(&pool, opt).value();
   ASSERT_TRUE(index->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   EXPECT_DEATH(
       {
@@ -501,7 +515,6 @@ TEST(SnapshotDeathTest, PinOutlivingItsIndexAborts) {
         opt.data = DecomposeOptions::SizeBound(4);
         auto index = SpatialIndex::Create(&pool, opt).value();
         (void)index->Insert(Rect{0.1, 0.1, 0.2, 0.2});
-        (void)index->EnableSnapshots();
         EpochPin pin = index->PinEpoch();
         index.reset();  // destroys the EpochManager under a live pin
       },
@@ -510,10 +523,9 @@ TEST(SnapshotDeathTest, PinOutlivingItsIndexAborts) {
 
 // ------------------------------------------------- executor plan hooks
 
-// Regression for the ReaderSection -> EpochPin migration boundary: the
-// executor's plan hooks (PlanWindow / ExecuteWindowPlanSlice /
-// RefineWindowCandidates) are NO_THREAD_SAFETY_ANALYSIS and run on many
-// worker threads under ONE shared pin. If any hook observed a torn
+// The executor's plan hooks (PlanWindow / ExecuteWindowPlanSlice /
+// RefineWindowCandidates) run on many worker threads under ONE shared
+// pin, each in its own SnapshotReadScope. If any hook observed a torn
 // epoch — plan at boundary k, a slice or refinement at k+1 — the merged
 // answer would match no single oracle state and fail the bracket check.
 TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
@@ -521,7 +533,7 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
   const Workload w = MakeWorkload(seed, SnapshotShape());
 
-  DBOptions opt;  // in-memory, unjournaled, snapshot reads on
+  DBOptions opt;  // in-memory, unjournaled
   opt.index.data = DecomposeOptions::SizeBound(8);
   opt.page_size = 512;
   opt.cache_pages = 128;
@@ -530,7 +542,6 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
     EXPECT_EQ(db->Insert(w.initial[i]).value(), static_cast<ObjectId>(i));
   }
   SpatialIndex* index = db->index();
-  ASSERT_TRUE(index->snapshots_enabled());
   const uint64_t base = db->write_epoch();
 
   auto exec_owner = db->NewExecutor(4);
@@ -581,7 +592,6 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
 
 TEST(Snapshot, DbEnablesSnapshotsByDefaultAndReportsStats) {
   auto db = DB::Open("", {}).value();
-  ASSERT_TRUE(db->index()->snapshots_enabled());
 
   ASSERT_TRUE(db->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
   ASSERT_TRUE(db->Insert(Rect{0.4, 0.4, 0.6, 0.6}).ok());
@@ -589,25 +599,10 @@ TEST(Snapshot, DbEnablesSnapshotsByDefaultAndReportsStats) {
   EXPECT_EQ(hits.size(), 2u);
 
   const DBStats s = db->Stats();
-  EXPECT_TRUE(s.snapshot_reads);
   EXPECT_GT(s.pins_taken, 0u) << "the Window query must have auto-pinned";
   EXPECT_EQ(s.pinned_epochs, 0u) << "auto-pins are released per query";
   EXPECT_GT(s.versions_saved, 0u)
       << "the second insert mutates pages the first one wrote";
-}
-
-TEST(Snapshot, DbSnapshotOptOutFallsBackToLatchedReads) {
-  DBOptions opt;
-  opt.snapshot_reads = false;
-  auto db = DB::Open("", opt).value();
-  ASSERT_FALSE(db->index()->snapshots_enabled());
-
-  ASSERT_TRUE(db->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-  EXPECT_EQ(db->Window(Rect{0.0, 0.0, 1.0, 1.0}).value().size(), 1u);
-  const DBStats s = db->Stats();
-  EXPECT_FALSE(s.snapshot_reads);
-  EXPECT_EQ(s.pins_taken, 0u);
-  EXPECT_EQ(s.versions_saved, 0u);
 }
 
 // Snapshots compose with the group-commit pipeline: a journaled DB runs
@@ -616,7 +611,6 @@ TEST(Snapshot, PinnedReadsStableAcrossGroupCommitBoundaries) {
   DBOptions opt;
   opt.memory_journal = true;
   auto db = DB::Open("", opt).value();
-  ASSERT_TRUE(db->index()->snapshots_enabled());
   ASSERT_TRUE(db->index()->group_commit_active());
 
   WriteBatch first;

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <random>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/file.h"
 #include "storage/pager.h"
+#include "storage/snapshot.h"
 
 namespace zdb {
 namespace {
@@ -263,6 +270,181 @@ TEST(BufferPool, MoveSemanticsOfPageRef) {
   EXPECT_EQ(b.id(), id);
   b.Release();
   EXPECT_FALSE(b.valid());
+}
+
+
+// A recycled id must map to one frame. Here a reader re-caches page x
+// after it was freed (what a pinned read whose chain miss races a
+// Delete does); New() then recycles x for page y. If both frames stayed
+// cached, evicting the stale one would unmap the live one and the last
+// Fetch(y) would read x's freed bytes from the pager.
+TEST(BufferPool, NewDropsAFrameCachedUnderARecycledId) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 4);
+  PageId x;
+  {
+    auto ref = pool.New().value();
+    x = ref.id();
+    ref.mutable_data()[0] = 'A';
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.Delete(x).ok());
+  (void)pool.Fetch(x).value();  // re-caches the freed id
+  PageId y;
+  {
+    auto ref = pool.New().value();
+    y = ref.id();
+    ref.mutable_data()[0] = 'B';
+  }
+  ASSERT_EQ(y, x);
+  (void)pool.New().value();
+  (void)pool.New().value();
+  (void)pool.Fetch(y).value();
+  (void)pool.New().value();
+  EXPECT_EQ(pool.Fetch(y).value().data()[0], 'B');
+}
+
+// ------------------------------------------- copy-free snapshot fetches
+
+/// A snapshot view at `epoch` over `versions` (storage-level: no meta).
+SnapshotView ViewAt(const PageVersions* versions, uint64_t epoch) {
+  SnapshotView v;
+  v.epoch = epoch;
+  v.versions = versions;
+  return v;
+}
+
+TEST(BufferPool, SnapshotRefHoldsNoPin) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 4);
+  PageVersions versions(512);
+  const SnapshotView view = ViewAt(&versions, 0);
+  PageId id;
+  {
+    auto ref = pool.New().value();
+    id = ref.id();
+    ref.mutable_data()[0] = 's';
+  }
+  const IoStats before = pager->io_stats();
+  PageRef ref = pool.FetchAt(&view, id).value();
+  EXPECT_EQ(pager->io_stats().Since(before).pool_hits, 1u);
+  EXPECT_EQ(ref.data()[0], 's');
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+}
+
+TEST(BufferPool, SnapshotRefOutlivesDeleteAndEviction) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 2);
+  PageVersions versions(512);
+  const SnapshotView view = ViewAt(&versions, 0);
+  PageId a, b;
+  {
+    auto ref = pool.New().value();
+    a = ref.id();
+    std::memset(ref.mutable_data(), 'a', 512);
+  }
+  {
+    auto ref = pool.New().value();
+    b = ref.id();
+    std::memset(ref.mutable_data(), 'b', 512);
+  }
+  PageRef ra = pool.FetchAt(&view, a).value();
+  PageRef rb = pool.FetchAt(&view, b).value();
+  // Both succeed although the refs are alive: they hold no pins.
+  ASSERT_TRUE(pool.Delete(a).ok());
+  auto fresh = pool.New().value();  // recycles a's id
+  std::memset(fresh.mutable_data(), 'n', 512);
+  auto other = pool.New().value();  // evicts b
+  fresh.Release();
+  other.Release();
+  EXPECT_GE(pager->io_stats().pool_evictions, 1u);
+  for (int i = 0; i < 512; ++i) {
+    ASSERT_EQ(ra.data()[i], 'a') << i;
+    ASSERT_EQ(rb.data()[i], 'b') << i;
+  }
+}
+
+// Readers at epoch 0 fetch pages while a writer runs three batches that
+// mutate, free and recycle them through a pool too small to hold them
+// all: every byte a reader sees must be the epoch-0 image.
+TEST(BufferPool, PinnedReadersSeePreBatchImagesUnderWriterChurn) {
+  constexpr uint32_t kPageSize = 512;
+  constexpr size_t kPages = 48;
+  auto pager = Pager::OpenInMemory(kPageSize);
+  BufferPool pool(pager.get(), 16);
+  PageVersions versions(kPageSize);
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPages; ++i) {
+    auto ref = pool.New().value();
+    ids.push_back(ref.id());
+    std::memset(ref.mutable_data(), static_cast<int>(1 + i), kPageSize);
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  auto pattern = [&](PageId id) -> char {
+    for (size_t i = 0; i < kPages; ++i) {
+      if (ids[i] == id) return static_cast<char>(1 + i);
+    }
+    return 0;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      const SnapshotView view = ViewAt(&versions, 0);
+      std::mt19937 rng(t);
+      bool last = false;
+      while (!last) {
+        last = done.load(std::memory_order_acquire);
+        for (int n = 0; n < 64; ++n) {
+          const PageId id = ids[rng() % kPages];
+          auto r = pool.FetchAt(&view, id);
+          if (!r.ok()) {
+            ++failures;
+            continue;
+          }
+          const char want = pattern(id);
+          for (uint32_t i = 0; i < kPageSize; ++i) {
+            if (r.value().data()[i] != want) {
+              ++failures;
+              break;
+            }
+          }
+        }
+      }
+    });
+  }
+
+  std::mt19937 rng(42);
+  std::set<PageId> live(ids.begin(), ids.end());
+  for (uint64_t stamp = 1; stamp <= 3; ++stamp) {
+    VersioningScope batch(&versions, stamp);
+    std::vector<PageId> freed;
+    for (PageId id : std::vector<PageId>(live.begin(), live.end())) {
+      const uint32_t dice = rng() % 4;
+      if (dice == 0) {
+        ASSERT_TRUE(pool.Delete(id).ok());
+        live.erase(id);
+        freed.push_back(id);
+      } else if (dice != 1) {
+        auto ref = pool.Fetch(id).value();
+        std::memset(ref.mutable_data(), 0x70 + static_cast<int>(stamp),
+                    kPageSize);
+        ref.mutable_data()[0] = 'w';
+      }
+    }
+    for (size_t i = 0; i < freed.size(); ++i) {
+      auto ref = pool.New().value();
+      live.insert(ref.id());
+      std::memset(ref.mutable_data(), 0x60, kPageSize);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(versions.stats().saved, 0u);
 }
 
 }  // namespace

@@ -66,13 +66,12 @@ std::unique_ptr<SpatialIndex> BuildIndex(BufferPool* pool,
 }
 
 /// BuildIndex's twin behind the DB facade: in-memory, unjournaled,
-/// latched reads, 512-byte pages, a 256-frame cache.
+/// 512-byte pages, a 256-frame cache.
 std::unique_ptr<DB> BuildDB(const Workload& w) {
   DBOptions opt;
   opt.index.data = DecomposeOptions::SizeBound(8);
   opt.page_size = 512;
   opt.cache_pages = 256;
-  opt.snapshot_reads = false;
   auto db = DB::Open("", opt).value();
   for (size_t i = 0; i < w.initial.size(); ++i) {
     EXPECT_EQ(db->Insert(w.initial[i]).value(), static_cast<ObjectId>(i));
@@ -148,7 +147,7 @@ TEST(StressMixed, ExecutorMixedWorkloadMatchesOracleAtEveryEpoch) {
 }
 
 // Raw-thread variant: a writer thread applies batches directly through
-// ApplyBatch while reader threads hammer the latched public queries.
+// ApplyBatch while reader threads hammer the public queries.
 // Exercises the latch without any executor machinery; also the
 // erase-race coverage — batches erase live objects while kNN and window
 // queries are mid-flight, and the epoch cross-check rejects any answer

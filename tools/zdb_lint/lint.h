@@ -155,7 +155,8 @@ struct Config {
   std::set<std::string> latches;
   /// Scoped RAII section types -> (lock, exclusive?).
   std::map<std::string, std::pair<std::string, bool>> section_types;
-  /// Functions returning a scoped shared section (ReaderSection()).
+  /// Functions whose call acquires a latch for the rest of the scope
+  /// (LatchExclusive()) -> (lock, exclusive?).
   std::map<std::string, std::pair<std::string, bool>> acquire_fns;
   /// I/O sink functions ("File::Sync") and bare syscall names ("fsync").
   std::set<std::string> io_sinks;

@@ -657,7 +657,7 @@ class Parser {
           continue;
         }
 
-        // Configured acquire functions (LatchExclusive, ReaderSection..).
+        // Configured acquire functions (LatchExclusive).
         auto acq = cfg_.acquire_fns.find(callee);
         if (acq != cfg_.acquire_fns.end()) {
           LockAcquire ev{acq->second.first, acq->second.second, tok.line,
