@@ -273,10 +273,11 @@ int main(int argc, char** argv) {
       for (ObjectId oid : hits.value()) std::printf(" %u", oid);
       std::printf(
           "\n  (candidates %llu, duplicates %llu, false hits %llu, "
-          "%llu page accesses)\n",
+          "certain hits %llu, %llu page accesses)\n",
           static_cast<unsigned long long>(qs.candidates),
           static_cast<unsigned long long>(qs.duplicates()),
           static_cast<unsigned long long>(qs.false_hits),
+          static_cast<unsigned long long>(qs.certain_hits),
           static_cast<unsigned long long>(
               db->io_stats().Since(snap).accesses()));
     } else if (cmd == "point") {

@@ -6,8 +6,8 @@
 // answered by region queries of growing radius — the radius doubles
 // until the k-th hit's exact distance is provably covered by the
 // searched window. Each round reuses the ordinary filter-and-refine
-// window machinery; exact per-object distances come from the object and
-// polygon stores.
+// window machinery; each hit's exact distance comes from the object (and
+// polygon) record that refinement fetched for it.
 
 #include <algorithm>
 #include <cmath>
@@ -61,15 +61,8 @@ SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
     // hit, which can never exist when k meets or exceeds the live object
     // count. One whole-world sweep returns every live object directly.
     QueryStats qs;
-    std::vector<ObjectId> hits;
-    ZDB_ASSIGN_OR_RETURN(hits, WindowQueryLocked(world, &qs));
+    ZDB_ASSIGN_OR_RETURN(best, WindowDistancesLocked(world, p, &qs));
     if (stats != nullptr) stats->Add(qs);
-    best.reserve(hits.size());
-    for (ObjectId oid : hits) {
-      double d;
-      ZDB_ASSIGN_OR_RETURN(d, DistanceToLocked(oid, p));
-      best.emplace_back(oid, d);
-    }
     SortByDistance(&best);
     if (best.size() > k) best.resize(k);
     if (rounds != nullptr) *rounds = 1;
@@ -99,17 +92,8 @@ SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
     const bool covers_world = window == world;
 
     QueryStats qs;
-    std::vector<ObjectId> hits;
-    ZDB_ASSIGN_OR_RETURN(hits, WindowQueryLocked(window, &qs));
+    ZDB_ASSIGN_OR_RETURN(best, WindowDistancesLocked(window, p, &qs));
     if (stats != nullptr) stats->Add(qs);
-
-    best.clear();
-    best.reserve(hits.size());
-    for (ObjectId oid : hits) {
-      double d;
-      ZDB_ASSIGN_OR_RETURN(d, DistanceToLocked(oid, p));
-      best.emplace_back(oid, d);
-    }
     SortByDistance(&best);
     if (best.size() > k) best.resize(k);
 

@@ -16,6 +16,13 @@
 
 namespace zdb {
 
+/// Object ids stay below 2^31. The top bit of an ObjectId is reserved:
+/// the window filter sets it on a candidate id that is a certain hit
+/// (see SpatialIndex::ExecuteWindowPlanSlice), so no stored object may
+/// carry it. The object store and the shard router reject larger ids.
+inline constexpr ObjectId kCertainHitMark = 0x80000000u;
+inline constexpr ObjectId kObjectIdLimit = kCertainHitMark;
+
 /// What an object record's geometry is. Rectangles are self-contained
 /// (the MBR *is* the geometry); polygons keep their exact ring in the
 /// polygon store, referenced by `payload`.

@@ -11,6 +11,9 @@ ObjectStore::ObjectStore(BufferPool* pool) : pool_(pool) {
 
 Result<ObjectId> ObjectStore::Insert(const Rect& mbr, uint32_t payload) {
   const ObjectId oid = next_oid_;
+  if (oid >= kObjectIdLimit) {
+    return Status::NoSpace("object id space exhausted (2^31 ids)");
+  }
   const uint32_t page_idx = oid / per_page_;
   const uint32_t slot = oid % per_page_;
 
@@ -33,6 +36,9 @@ Result<ObjectId> ObjectStore::Insert(const Rect& mbr, uint32_t payload) {
 
 Status ObjectStore::InsertAt(ObjectId oid, const Rect& mbr,
                              uint32_t payload) {
+  if (oid >= kObjectIdLimit) {
+    return Status::InvalidArgument("object id out of range (>= 2^31)");
+  }
   const uint32_t page_idx = oid / per_page_;
   const uint32_t slot = oid % per_page_;
   if (page_idx >= pages_.size()) pages_.resize(page_idx + 1, kInvalidPageId);

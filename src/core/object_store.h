@@ -21,7 +21,8 @@ class ObjectStore {
  public:
   explicit ObjectStore(BufferPool* pool);
 
-  /// Appends a live record; returns its id.
+  /// Appends a live record; returns its id. NoSpace once the append
+  /// cursor reaches kObjectIdLimit.
   Result<ObjectId> Insert(const Rect& mbr, uint32_t payload = 0);
 
   /// Writes a live record under a caller-chosen id (sharded engines
@@ -29,7 +30,8 @@ class ObjectStore {
   /// grows with kInvalidPageId holes for any skipped pages; freshly
   /// allocated pages come zeroed from the pool, so skipped slots inside
   /// an allocated page decode as dead records. Fails if `oid` already
-  /// names a live record.
+  /// names a live record, and with InvalidArgument if `oid` is at or
+  /// above kObjectIdLimit.
   Status InsertAt(ObjectId oid, const Rect& mbr, uint32_t payload = 0);
 
   /// Fetches a record (including dead ones; check `live`).

@@ -185,4 +185,11 @@ uint64_t SpatialIndex::EffectiveLiveObjects() const {
   return live_objects_.load(std::memory_order_relaxed);
 }
 
+bool SpatialIndex::EffectiveHasPolygons() const {
+  if (const SnapshotView* v = SnapshotView::FindOwner(this)) {
+    return !v->meta->poly_pages.empty();
+  }
+  return !polys_->pages().empty();
+}
+
 }  // namespace zdb

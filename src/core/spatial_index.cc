@@ -2,7 +2,9 @@
 
 #include "core/spatial_index.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -373,25 +375,48 @@ Result<double> SpatialIndex::DistanceTo(ObjectId oid, const Point& p) {
     std::unique_ptr<SnapshotReadScope> scope;
     ZDB_ASSIGN_OR_RETURN(scope, OpenSnapshot(pin));
     SnapshotSection section(this);
-    return DistanceToLocked(oid, p);
+    ObjectRecord rec;
+    ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
+    if (rec.kind == ObjectKind::kRect) return rec.mbr.DistanceTo(p);
+    Polygon poly;
+    ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
+    return poly.DistanceTo(p);
   });
-}
-
-Result<double> SpatialIndex::DistanceToLocked(ObjectId oid, const Point& p) {
-  ObjectRecord rec;
-  ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
-  if (rec.kind == ObjectKind::kRect) return rec.mbr.DistanceTo(p);
-  Polygon poly;
-  ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
-  return poly.DistanceTo(p);
 }
 
 template <typename Predicate>
 Result<std::vector<ObjectId>> SpatialIndex::Refine(
     std::vector<ObjectId> candidates, Predicate pred, QueryStats* stats) {
+  // Ascending as 32-bit values, the bare ids come first and the marked
+  // ones after them; one merge pass over the two runs meets each id once.
+  if (std::adjacent_find(candidates.begin(), candidates.end(),
+                         std::greater_equal<ObjectId>()) !=
+      candidates.end()) {
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+  }
+  const auto end = candidates.end();
+  const auto bare_end =
+      std::lower_bound(candidates.begin(), end, kCertainHitMark);
+  auto marked = bare_end;  // next marked id not yet reported
   std::vector<ObjectId> results;
-  results.reserve(candidates.size());
-  for (ObjectId oid : candidates) {
+  results.reserve(bare_end - candidates.begin());
+  uint64_t certain = 0;
+  uint64_t false_hits = 0;
+  for (auto it = candidates.begin(); it != bare_end; ++it) {
+    const ObjectId oid = *it;
+    // Marked ids without a bare twin below `oid`.
+    while (marked != end && (*marked & ~kCertainHitMark) < oid) {
+      results.push_back(*marked++ & ~kCertainHitMark);
+      ++certain;
+    }
+    if (marked != end && *marked == (oid | kCertainHitMark)) {
+      ++marked;
+      results.push_back(oid);  // a certain hit: no fetch
+      ++certain;
+      continue;
+    }
     ObjectRecord rec;
     ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
     bool keep = false;
@@ -400,11 +425,19 @@ Result<std::vector<ObjectId>> SpatialIndex::Refine(
     }
     if (keep) {
       results.push_back(oid);
-    } else if (stats != nullptr) {
-      ++stats->false_hits;
+    } else {
+      ++false_hits;
     }
   }
-  if (stats != nullptr) stats->results = results.size();
+  for (; marked != end; ++marked) {
+    results.push_back(*marked & ~kCertainHitMark);
+    ++certain;
+  }
+  if (stats != nullptr) {
+    stats->false_hits += false_hits;
+    stats->certain_hits += certain;
+    stats->results = results.size();
+  }
   return results;
 }
 
@@ -421,6 +454,39 @@ Result<std::vector<ObjectId>> SpatialIndex::RefineWindowCandidates(
       stats);
 }
 
+Result<std::vector<std::pair<ObjectId, double>>>
+SpatialIndex::WindowDistancesLocked(const Rect& window, const Point& p,
+                                    QueryStats* stats) {
+  WindowPlan plan;
+  ZDB_ASSIGN_OR_RETURN(plan, PlanWindowLocked(window));
+  std::vector<ObjectId> candidates;
+  ZDB_ASSIGN_OR_RETURN(
+      candidates, WindowSliceLocked(plan, 0, plan.work_items(),
+                                    /*certain_hits=*/false, stats));
+  // Each hit's distance comes from the record (and ring) refinement
+  // fetched for the intersection test.
+  std::vector<double> dists;
+  auto meets_window = [&](const ObjectRecord& rec) -> Result<bool> {
+    if (!rec.mbr.Intersects(window)) return false;
+    if (rec.kind == ObjectKind::kRect) {
+      dists.push_back(rec.mbr.DistanceTo(p));
+      return true;
+    }
+    Polygon poly;
+    ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
+    if (!poly.Intersects(window)) return false;
+    dists.push_back(poly.DistanceTo(p));
+    return true;
+  };
+  std::vector<ObjectId> hits;
+  ZDB_ASSIGN_OR_RETURN(hits,
+                       Refine(std::move(candidates), meets_window, stats));
+  std::vector<std::pair<ObjectId, double>> out;
+  out.reserve(hits.size());
+  for (size_t i = 0; i < hits.size(); ++i) out.emplace_back(hits[i], dists[i]);
+  return out;
+}
+
 // ---------------------------------------------------------------- queries
 //
 // The public queries pin the current epoch and run latch-free against
@@ -435,22 +501,15 @@ Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQueryLocked(
     const Rect& window, QueryStats* stats) {
-  ZDB_RETURN_IF_ERROR(CheckQueryWindow(window));
-  const GridRect qgrid = mapper_.ToGrid(window);
-  const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
-    return mbr.Intersects(window);
-  };
+  // The staged hooks' bodies, in one call: plan, filter, refine.
+  WindowPlan plan;
+  ZDB_ASSIGN_OR_RETURN(plan, PlanWindowLocked(window));
   std::vector<ObjectId> candidates;
-  ZDB_ASSIGN_OR_RETURN(candidates,
-                       CollectCandidatesFiltered(qgrid, &leaf_pred, stats));
-  if (options_.store_mbr_in_leaf) {
-    if (stats != nullptr) stats->results = candidates.size();
-    return candidates;
-  }
-  return Refine(
-      std::move(candidates),
-      [&](const ObjectRecord& rec) { return RecordIntersects(rec, window); },
-      stats);
+  ZDB_ASSIGN_OR_RETURN(
+      candidates,
+      WindowSliceLocked(plan, 0, plan.work_items(), /*certain_hits=*/true,
+                        stats));
+  return RefineWindowCandidates(window, std::move(candidates), stats);
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQuery(const Point& p,

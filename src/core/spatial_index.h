@@ -5,7 +5,10 @@
 // z-elements (decompose/), the (element, oid) pairs are stored in a
 // B+-tree (btree/), exact geometry lives in an object store, and queries
 // run filter-and-refine over z-interval scans plus enclosing-element
-// probes.
+// probes. The filter decides each entry from its stored element first:
+// it skips elements that miss the query, and a window query accepts an
+// object whose element lies inside the window's interior without
+// fetching its record (see the parallel query hooks below).
 //
 // Typical use:
 //
@@ -424,30 +427,46 @@ class SpatialIndex {
 
   // ------------------------------------------------- parallel query hooks
   //
-  // The filter stage of WindowQuery, exposed in three steps so a parallel
-  // executor can split one query's z-interval set across workers: plan
-  // once, execute disjoint work-item slices concurrently (each slice
-  // deduplicates locally; the caller merges and deduplicates globally),
-  // then refine candidate chunks concurrently. Every call runs under a
-  // SnapshotReadScope of this index installed on the calling thread
-  // (OpenSnapshot), all scopes under one pin, so the plan, its slices
-  // and the refinement read one committed state. PlanWindow and
-  // ExecuteWindowPlanSlice fail with InvalidArgument without one.
+  // The stages of WindowQuery, exposed so a parallel executor can split
+  // one query's z-interval set across workers: plan once, execute
+  // disjoint work-item slices concurrently (each slice deduplicates
+  // locally; the caller merges and deduplicates globally), then refine
+  // candidate chunks concurrently. WindowQuery runs the same three
+  // bodies in one call. Every call runs under a SnapshotReadScope of
+  // this index installed on the calling thread (OpenSnapshot), all
+  // scopes under one pin, so the plan, its slices and the refinement
+  // read one committed state. PlanWindow and ExecuteWindowPlanSlice fail
+  // with InvalidArgument without one.
+  //
+  // Certain hits travel between the stages in the id itself: a slice
+  // lists every candidate's bare id and then, again with
+  // kCertainHitMark set, each candidate whose stored element lies inside
+  // the window's interior cells. Such an object meets the window, so
+  // refinement reports it without fetching its record. Slices mark
+  // nothing when the pinned index holds a polygon, or in
+  // store_mbr_in_leaf mode. No query result carries the mark.
 
   /// Builds the probe/scan plan for a window query.
   Result<WindowPlan> PlanWindow(const Rect& window);
 
-  /// Executes plan work items [begin, end) and returns the candidate
-  /// object ids (locally deduplicated, sorted). In store_mbr_in_leaf mode
-  /// the replicated MBRs are tested against the plan's window.
+  /// Executes plan work items [begin, end): the bare ids of the
+  /// candidates (entries whose element meets plan.qgrid), then the
+  /// certain ones marked — ascending and duplicate-free as 32-bit values,
+  /// so the set union of any partition's slices equals the whole plan's
+  /// output. In store_mbr_in_leaf mode the replicated MBRs are tested
+  /// against the plan's window instead.
   Result<std::vector<ObjectId>> ExecuteWindowPlanSlice(const WindowPlan& plan,
                                                        size_t begin,
                                                        size_t end,
                                                        QueryStats* stats);
 
-  /// Refines window-query candidates against exact geometry (a no-op
+  /// Refines window-query candidates: an id that appears marked is a
+  /// result without a fetch; every other id is fetched and tested (a
   /// pass-through in store_mbr_in_leaf mode, where the filter already
-  /// tested the replicated MBR). Preserves candidate order.
+  /// tested the replicated MBR). Takes one slice's output, any union of
+  /// slices' outputs, or any list in which each id appears bare or
+  /// marked; input ascending as 32-bit values is walked without a sort.
+  /// Returns bare ids, ascending.
   Result<std::vector<ObjectId>> RefineWindowCandidates(
       const Rect& window, std::vector<ObjectId> candidates,
       QueryStats* stats);
@@ -560,8 +579,6 @@ class SpatialIndex {
   Result<std::vector<std::pair<ObjectId, double>>> NearestNeighborsLocked(
       const Point& p, size_t k, QueryStats* stats, uint32_t* rounds)
       REQUIRES_SHARED(latch_);
-  Result<double> DistanceToLocked(ObjectId oid, const Point& p)
-      REQUIRES_SHARED(latch_);
 
   /// Bumps the published write epoch; call at the end of a successful
   /// writer section, while still holding the exclusive latch. First
@@ -650,12 +667,14 @@ class SpatialIndex {
     SnapshotSection& operator=(const SnapshotSection&) = delete;
   };
 
-  /// level_mask_ / live_objects_, redirected to the installed snapshot
-  /// view when one covers this index (pinned reads must not consult
-  /// live counters a concurrent writer is mutating). Defined in
-  /// core/snapshot_read.cc with the rest of the snapshot plumbing.
+  /// level_mask_ / live_objects_ / whether the polygon store holds any
+  /// page, redirected to the installed snapshot view when one covers
+  /// this index (pinned reads must not consult live counters a
+  /// concurrent writer is mutating). Defined in core/snapshot_read.cc
+  /// with the rest of the snapshot plumbing.
   uint64_t EffectiveLevelMask() const REQUIRES_SHARED(latch_);
   uint64_t EffectiveLiveObjects() const REQUIRES_SHARED(latch_);
+  bool EffectiveHasPolygons() const REQUIRES_SHARED(latch_);
 
   // --------------------------------- group commit (core/group_commit.cc)
 
@@ -726,39 +745,53 @@ class SpatialIndex {
   WindowPlan BuildWindowPlan(const GridRect& qgrid) const
       REQUIRES_SHARED(latch_);
 
-  /// Executes plan work items [begin, end) through a fresh CandidateSink,
-  /// optionally leaf-filtering with `leaf_pred`. Defined in query.cc.
+  /// Executes plan work items [begin, end) through a fresh CandidateSink:
+  /// entries whose element misses plan.qgrid are skipped; in
+  /// store_mbr_in_leaf mode the leaf MBR is tested with `leaf_pred`;
+  /// otherwise, with `certain_hits`, ids whose element lies inside the
+  /// window's interior cells carry kCertainHitMark. Defined in query.cc.
   Result<std::vector<ObjectId>> ExecutePlanSlice(
       const WindowPlan& plan, size_t begin, size_t end,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+      const std::function<bool(const Rect&)>* leaf_pred, bool certain_hits,
+      QueryStats* stats) REQUIRES_SHARED(latch_);
 
-  /// Shared filter stage: every unique candidate whose element
-  /// approximation touches the query grid rect. Defined in query.cc.
-  Result<std::vector<ObjectId>> CollectCandidates(const GridRect& qgrid,
-                                                  QueryStats* stats)
-      REQUIRES_SHARED(latch_);
-
-  /// As above; in store-MBR-in-leaf mode additionally applies `leaf_pred`
-  /// to the MBR replicated in the leaf, making refinement I/O-free.
+  /// The whole plan of `qgrid` through ExecutePlanSlice, without certain
+  /// marks (containment and enclosure). Defined in query.cc.
   Result<std::vector<ObjectId>> CollectCandidatesFiltered(
       const GridRect& qgrid,
       const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats)
       REQUIRES_SHARED(latch_);
 
-  /// Candidates for a point (ancestor probes only). Defined in query.cc.
-  Result<std::vector<ObjectId>> CollectPointCandidates(GridCoord gx,
-                                                       GridCoord gy,
-                                                       QueryStats* stats)
+  /// The bodies of PlanWindow and ExecuteWindowPlanSlice, shared with
+  /// WindowQueryLocked (which refines through RefineWindowCandidates)
+  /// and the kNN rounds. WindowSliceLocked marks certain hits when
+  /// `certain_hits` is set and the pinned state holds no polygon; kNN
+  /// passes false, as it fetches every record for its distance. Defined
+  /// in query.cc.
+  Result<WindowPlan> PlanWindowLocked(const Rect& window) const
+      REQUIRES_SHARED(latch_);
+  Result<std::vector<ObjectId>> WindowSliceLocked(const WindowPlan& plan,
+                                                  size_t begin, size_t end,
+                                                  bool certain_hits,
+                                                  QueryStats* stats)
       REQUIRES_SHARED(latch_);
 
+  /// One kNN round: the objects meeting `window`, each with its exact
+  /// distance to `p`, every record fetched once (by refinement).
+  Result<std::vector<std::pair<ObjectId, double>>> WindowDistancesLocked(
+      const Rect& window, const Point& p, QueryStats* stats)
+      REQUIRES_SHARED(latch_);
+
+  /// Candidates for a point (ancestor probes only). Defined in query.cc.
   Result<std::vector<ObjectId>> CollectPointCandidatesFiltered(
       GridCoord gx, GridCoord gy,
       const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats)
       REQUIRES_SHARED(latch_);
 
-  /// Refinement driver shared by the public queries. The predicate sees
-  /// the full object record and may fetch exact geometry.
+  /// Refinement driver shared by the public queries. An id marked with
+  /// kCertainHitMark is a result without a fetch (reported bare); every
+  /// other candidate's record is fetched and passed to the predicate,
+  /// which may fetch exact geometry.
   template <typename Predicate>
   Result<std::vector<ObjectId>> Refine(std::vector<ObjectId> candidates,
                                        Predicate pred, QueryStats* stats);

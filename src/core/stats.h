@@ -2,6 +2,11 @@
 //
 // Per-operation counters reported by the experiments: what the filter
 // retrieved, how much of it was redundant, and how much of it was wrong.
+//
+// Identities (window, containment and enclosure queries, and each kNN
+// round): unique_candidates == results + false_hits, and the object
+// records a query fetches number unique_candidates - certain_hits
+// (outside store_mbr_in_leaf mode, which fetches none).
 
 #ifndef ZDB_CORE_STATS_H_
 #define ZDB_CORE_STATS_H_
@@ -15,10 +20,13 @@ struct QueryStats {
   uint64_t query_elements = 0;   ///< elements the query decomposed into
   uint64_t ancestor_probes = 0;  ///< enclosing-element probes issued
   uint64_t index_entries = 0;    ///< (element, oid) entries scanned
-  uint64_t candidates = 0;       ///< entries hitting the query's elements
+  uint64_t candidates = 0;       ///< entries whose element meets the query
   uint64_t unique_candidates = 0;  ///< after duplicate elimination
   uint64_t false_hits = 0;       ///< unique candidates failing refinement
   uint64_t results = 0;          ///< final answers
+  /// Results accepted from their stored element alone (it lies inside
+  /// the window's interior cells), without an object-record fetch.
+  uint64_t certain_hits = 0;
   uint64_t bigmin_jumps = 0;     ///< re-seeks due to BIGMIN skipping
 
   uint64_t duplicates() const { return candidates - unique_candidates; }
@@ -31,6 +39,7 @@ struct QueryStats {
     unique_candidates += o.unique_candidates;
     false_hits += o.false_hits;
     results += o.results;
+    certain_hits += o.certain_hits;
     bigmin_jumps += o.bigmin_jumps;
   }
 };

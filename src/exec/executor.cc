@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <thread>
-#include <unordered_set>
 
 #include "shard/scatter.h"
 
@@ -226,24 +225,48 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowAttempt(
     return Status::OK();
   }));
 
-  // Global dedup by oid; a replicated object is refined only in the
-  // shard that surfaced it first (replicas store identical exact
-  // geometry, so any owning shard refines it correctly).
-  std::unordered_set<ObjectId> seen;
-  std::vector<std::vector<ObjectId>> cand(ns);
+  // Global dedup on the bare oid, keeping the certain-hit mark if any
+  // slice of any shard set it (the mark says the object meets the
+  // window, whichever shard's element proved it). A replicated object is
+  // refined only in the shard that surfaced it first (the sort is
+  // stable); replicas store identical exact geometry, so any owning
+  // shard refines it correctly.
+  struct Surfaced {
+    ObjectId oid;  ///< bare id
+    bool certain;
+    size_t shard;  ///< index into `shards`
+  };
+  std::vector<Surfaced> surfaced;
   for (size_t i = 0; i < work.size(); ++i) {
-    for (ObjectId oid : parts[i]) {
-      if (seen.insert(oid).second) cand[work[i].shard].push_back(oid);
+    for (ObjectId c : parts[i]) {
+      surfaced.push_back({c & ~kCertainHitMark, (c & kCertainHitMark) != 0,
+                          work[i].shard});
     }
+  }
+  std::stable_sort(
+      surfaced.begin(), surfaced.end(),
+      [](const Surfaced& a, const Surfaced& b) { return a.oid < b.oid; });
+  // Each shard's candidates, once each, ascending on the bare oid and
+  // marked if certain.
+  std::vector<std::vector<ObjectId>> cand(ns);
+  size_t unique = 0;
+  for (size_t i = 0, j; i < surfaced.size(); i = j) {
+    bool certain = false;
+    for (j = i; j < surfaced.size() && surfaced[j].oid == surfaced[i].oid;
+         ++j) {
+      certain |= surfaced[j].certain;
+    }
+    cand[surfaced[i].shard].push_back(
+        certain ? (surfaced[i].oid | kCertainHitMark) : surfaced[i].oid);
+    ++unique;
   }
 
   // Refinement: again one flattened job over per-shard candidate chunks.
-  // Sorted candidates make each worker fetch its object records in
-  // ascending oid order (sequential store pages) and keep every chunk's
-  // refined output sorted.
+  // Candidates sorted on the bare oid make each worker fetch its object
+  // records in ascending oid order (sequential store pages) and keep
+  // every chunk's refined output sorted.
   std::vector<ShardSlice> rwork;
   for (size_t i = 0; i < ns; ++i) {
-    std::sort(cand[i].begin(), cand[i].end());
     // threads() chunks in all (when the shards divide them): one more
     // would leave a straggler running alone after the others finish.
     const size_t n = cand[i].size();
@@ -259,9 +282,14 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowAttempt(
     SpatialIndex* ix = indexes_[shards[rwork[i].shard]];
     std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
     ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[rwork[i].shard]));
+    // Unmarked ids first, then the marked ones: ascending as 32-bit
+    // values, the order refinement walks without sorting.
     const auto& list = cand[rwork[i].shard];
     std::vector<ObjectId> chunk(list.begin() + rwork[i].lo,
                                 list.begin() + rwork[i].hi);
+    std::stable_partition(chunk.begin(), chunk.end(), [](ObjectId c) {
+      return (c & kCertainHitMark) == 0;
+    });
     stats_.workers[w].refinements += chunk.size();
     auto r = ix->RefineWindowCandidates(window, std::move(chunk),
                                         &refine_stats[i]);
@@ -283,7 +311,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowAttempt(
   if (stats != nullptr) {
     for (const auto& qs : part_stats) stats->Add(qs);
     for (const auto& qs : refine_stats) stats->Add(qs);
-    stats->unique_candidates = seen.size();
+    stats->unique_candidates = unique;
     stats->results = results.size();
   }
   return results;

@@ -124,11 +124,17 @@ Status ShardRouter::PlanLocked(const WriteBatch& batch, bool replicated,
       ObjectId oid;
       if (replicated) {
         oid = op.preassigned;
+        if (oid >= kObjectIdLimit) {
+          return Status::InvalidArgument("object id out of range (>= 2^31)");
+        }
         if (oid < masks_.size() && masks_[oid] != 0) {
           return Status::InvalidArgument("replicated oid already live");
         }
         plan->next_oid = std::max(plan->next_oid, oid + 1);
       } else {
+        if (plan->next_oid >= kObjectIdLimit) {
+          return Status::NoSpace("object id space exhausted (2^31 ids)");
+        }
         oid = plan->next_oid++;
       }
       mask = routing_.MaskForRect(op.mbr);
@@ -292,6 +298,9 @@ Result<ObjectId> ShardRouter::InsertPolygon(const Polygon& poly) {
   MutexLock lock(router_mu_);
   ZDB_RETURN_IF_ERROR(SyncRollbacksLocked());
   const ObjectId oid = next_oid_;
+  if (oid >= kObjectIdLimit) {
+    return Status::NoSpace("object id space exhausted (2^31 ids)");
+  }
   const uint64_t mask = routing_.MaskForRect(poly.Bounds());
   std::vector<PublishPoint> at(shards());
   AnnounceLocked();
@@ -313,6 +322,9 @@ Status ShardRouter::BulkLoad(const std::vector<Rect>& data, double fill) {
   ZDB_RETURN_IF_ERROR(SyncRollbacksLocked());
   if (next_oid_ != 0) {
     return Status::InvalidArgument("bulk load into non-empty index");
+  }
+  if (data.size() > kObjectIdLimit) {
+    return Status::NoSpace("object id space exhausted (2^31 ids)");
   }
   for (const Rect& mbr : data) {
     if (!mbr.valid()) return Status::InvalidArgument("invalid MBR");
