@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/mapped_allocator.h"
 #include "core/spatial_index.h"
 #include "zorder/zkey.h"
 
@@ -52,7 +53,8 @@ Status SpatialIndex::BulkLoadLocked(const std::vector<Rect>& data,
     std::string value;
   };
   const size_t count = oids == nullptr ? data.size() : oids->size();
-  std::vector<Entry> entries;
+  // Mapped, not malloc'd: see common/mapped_allocator.h.
+  std::vector<Entry, MappedAllocator<Entry>> entries;
   entries.reserve(count * 2);
 
   for (size_t n = 0; n < count; ++n) {

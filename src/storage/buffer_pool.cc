@@ -103,8 +103,8 @@ void BufferPool::Unpin(uint32_t shard, uint32_t frame) {
 }
 
 Status BufferPool::WriteBack(Shard& s, Frame* f) {
-  (void)s;  // capability token: proves the frame's shard lock is held
   if (!f->dirty.load(std::memory_order_relaxed)) return Status::OK();
+  ++s.generation;
   ZDB_RETURN_IF_ERROR(pager_->WritePage(f->id, f->data.get()));
   f->dirty.store(false, std::memory_order_relaxed);
   return Status::OK();
@@ -237,18 +237,17 @@ Result<PageRef> BufferPool::FetchAt(const SnapshotView* view, PageId id) {
   PageVersions::Buffer live;
   Status st;
   {
-    Shard& s = shard_for(id);
-    MutexLock lock(s.mu);
-    auto r = FindOrLoad(s, id);
+    auto r = ReadShared(id);
     if (r.ok()) {
-      live = s.frames[r.value()].data;
+      live = std::move(r).value();
     } else {
       st = r.status();
     }
   }
   // Look again: a buffer taken after a writer's handoff is the writer's
-  // fresh copy (and a load racing a Delete reads a freed page), but the
-  // writer saved the true image to the chain first, and the shard mutex
+  // fresh copy (and a read racing a write-back or a Delete may see newer
+  // or freed bytes), but the writer saved the true image to the chain
+  // first, and the shard mutex, which ReadShared takes after its read,
   // orders that save before this look.
   if (!versions.empty()) {
     if (PageVersions::Buffer b = versions.Lookup(id, view->epoch)) {
@@ -259,12 +258,64 @@ Result<PageRef> BufferPool::FetchAt(const SnapshotView* view, PageId id) {
   return PageRef(std::move(live), id);
 }
 
+Result<PageVersions::Buffer> BufferPool::ReadShared(PageId id) {
+  ThreadIoStats* tls = GetThreadIoStats();
+  Shard& s = shard_for(id);
+  uint64_t generation;
+  {
+    MutexLock lock(s.mu);
+    auto it = s.table.find(id);
+    if (it != s.table.end()) {
+      ++pager_->mutable_io_stats()->pool_hits;
+      if (tls != nullptr) {
+        ++tls->pool_hits;
+        ++tls->pages_pinned;
+      }
+      Touch(s, it->second);
+      return PageVersions::Buffer(s.frames[it->second].data);
+    }
+    generation = s.generation;
+  }
+  ++pager_->mutable_io_stats()->pool_misses;
+  if (tls != nullptr) ++tls->pool_misses;
+  std::shared_ptr<char[]> buf =
+      std::make_shared_for_overwrite<char[]>(pager_->page_size());
+  ZDB_RETURN_IF_ERROR(pager_->ReadPage(id, buf.get()));
+
+  MutexLock lock(s.mu);
+  auto it = s.table.find(id);
+  if (it != s.table.end()) {
+    // Cached meanwhile (by another reader, or by a writer that may have
+    // changed it since): share the cached buffer, as a load under the
+    // lock would have.
+    Touch(s, it->second);
+    buf = s.frames[it->second].data;
+  } else if (s.generation == generation) {
+    // The page on disk is still what was read: cache it.
+    uint32_t idx;
+    ZDB_ASSIGN_OR_RETURN(idx, AcquireFrame(s));
+    Frame& f = s.frames[idx];
+    f.data = buf;
+    f.id = id;
+    f.dirty.store(false, std::memory_order_relaxed);
+    // As in FindOrLoad: force the next mutation through the save path.
+    f.save_stamp.store(0, std::memory_order_relaxed);
+    s.table[id] = idx;
+    Touch(s, idx);
+  }
+  // Otherwise the bytes may predate a write in this shard: they serve
+  // this read only and are not cached.
+  if (tls != nullptr) ++tls->pages_pinned;
+  return PageVersions::Buffer(std::move(buf));
+}
+
 Result<PageRef> BufferPool::New() {
   PageId id;
   ZDB_ASSIGN_OR_RETURN(id, pager_->Allocate());
   const uint32_t sidx = static_cast<uint32_t>(id) & shard_mask_;
   Shard& s = shards_[sidx];
   MutexLock lock(s.mu);
+  ++s.generation;
   // A pinned reader whose chain miss raced the Delete of this id may
   // have cached it again. Unmap that stale frame, so the id never maps
   // to two frames (evicting the stale one would otherwise unmap the
@@ -311,6 +362,7 @@ Status BufferPool::Delete(PageId id) {
   Shard& s = shard_for(id);
   {
     MutexLock lock(s.mu);
+    ++s.generation;
     auto it = s.table.find(id);
     if (it != s.table.end()) {
       Frame& f = s.frames[it->second];
@@ -387,6 +439,7 @@ Status BufferPool::Clear() {
   ZDB_RETURN_IF_ERROR(FlushAll());
   for (auto& s : shards_) {
     MutexLock lock(s.mu);
+    ++s.generation;
     for (uint32_t i = 0; i < s.frames.size(); ++i) {
       Frame& f = s.frames[i];
       if (f.id != kInvalidPageId) {
@@ -419,6 +472,7 @@ Status BufferPool::Discard() {
   }
   for (auto& s : shards_) {
     MutexLock lock(s.mu);
+    ++s.generation;
     for (uint32_t i = 0; i < s.frames.size(); ++i) {
       Frame& f = s.frames[i];
       if (f.id != kInvalidPageId) {

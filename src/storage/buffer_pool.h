@@ -24,6 +24,14 @@
 // reader may hold is never written again (see storage/snapshot.h for
 // the writer's buffer handoff). A frame gets a fresh buffer whenever it
 // loads or creates a page.
+//
+// A snapshot reader's miss reads the page outside the shard lock, so
+// hits and misses on other pages of the shard do not queue behind the
+// read (a writer's Fetch still loads under it). The reader caches what
+// it read only if nothing that can change a page on disk happened in
+// the shard meanwhile (Shard::generation); otherwise it keeps the bytes
+// to itself, and FetchAt's second look in the version chain decides
+// what it sees, exactly as for a load under the lock.
 
 #ifndef ZDB_STORAGE_BUFFER_POOL_H_
 #define ZDB_STORAGE_BUFFER_POOL_H_
@@ -192,6 +200,10 @@ class BufferPool {
     std::vector<uint32_t> free_frames GUARDED_BY(mu);
     std::unordered_map<PageId, uint32_t> table GUARDED_BY(mu);
     uint64_t tick GUARDED_BY(mu) = 0;
+    /// Bumped by everything that may change a page of this shard on disk
+    /// or its place in the table: write-back, New, Delete (whose pager
+    /// Free follows), Clear and Discard (which follows a rollback).
+    uint64_t generation GUARDED_BY(mu) = 0;
   };
 
   Shard& shard_for(PageId id) {
@@ -214,10 +226,15 @@ class BufferPool {
   /// Shared body of FlushAll/FlushForCommit.
   Status FlushInternal(bool include_pinned);
 
-  /// The shared hit/miss step of Fetch and FetchAt: the frame caching
-  /// `id`, read from the pager into a fresh buffer on a miss. Counts the
-  /// hit or miss and the page pinned.
+  /// Fetch's hit/miss step: the frame caching `id`, read from the pager
+  /// into a fresh buffer on a miss. Counts the hit or miss and the page
+  /// pinned.
   Result<uint32_t> FindOrLoad(Shard& s, PageId id) REQUIRES(s.mu);
+
+  /// FetchAt's cache step: the cached buffer of `id`, or on a miss a
+  /// fresh buffer read outside the shard lock (cached afterwards unless
+  /// the shard's generation moved). Counts like FindOrLoad.
+  Result<PageVersions::Buffer> ReadShared(PageId id);
 
   /// Body of PageRef::mutable_data(): marks the frame dirty and, on the
   /// batch's first mutation under a VersioningScope, hands the buffer to

@@ -12,6 +12,7 @@
 namespace zdb {
 
 Status MemFile::Read(uint64_t offset, size_t n, char* buf) const {
+  ReaderLock lock(mu_);
   std::memset(buf, 0, n);
   if (offset >= data_.size()) return Status::OK();
   const size_t avail = data_.size() - offset;
@@ -20,6 +21,7 @@ Status MemFile::Read(uint64_t offset, size_t n, char* buf) const {
 }
 
 Status MemFile::Write(uint64_t offset, const char* data, size_t n) {
+  WriterLock lock(mu_);
   if (offset + n > data_.size()) data_.resize(offset + n);
   std::memcpy(data_.data() + offset, data, n);
   return Status::OK();

@@ -269,15 +269,25 @@ Status Pager::ReadPage(PageId id, char* buf) {
     // Outside mu_: concurrent misses overlap their device stalls.
     std::this_thread::sleep_for(std::chrono::microseconds(latency));
   }
-  MutexLock lock(mu_);
-  return ReadPageInternal(id, buf);
+  {
+    MutexLock lock(mu_);
+    ZDB_RETURN_IF_ERROR(CheckPageId(id, "read"));
+  }
+  // Outside mu_: see the class comment.
+  ++io_.page_reads;
+  return file_->Read(static_cast<uint64_t>(id) * page_size_, page_size_, buf);
+}
+
+Status Pager::CheckPageId(PageId id, const char* op) const {
+  if (id == kInvalidPageId || id >= page_count_) {
+    return Status::InvalidArgument(std::string(op) + " of invalid page " +
+                                   std::to_string(id));
+  }
+  return Status::OK();
 }
 
 Status Pager::ReadPageInternal(PageId id, char* buf) {
-  if (id == kInvalidPageId || id >= page_count_) {
-    return Status::InvalidArgument("read of invalid page " +
-                                   std::to_string(id));
-  }
+  ZDB_RETURN_IF_ERROR(CheckPageId(id, "read"));
   ++io_.page_reads;
   return file_->Read(static_cast<uint64_t>(id) * page_size_, page_size_, buf);
 }
@@ -288,10 +298,7 @@ Status Pager::WritePage(PageId id, const char* buf) {
 }
 
 Status Pager::WritePageInternal(PageId id, const char* buf) {
-  if (id == kInvalidPageId || id >= page_count_) {
-    return Status::InvalidArgument("write of invalid page " +
-                                   std::to_string(id));
-  }
+  ZDB_RETURN_IF_ERROR(CheckPageId(id, "write"));
   if (in_batch_) {
     ZDB_RETURN_IF_ERROR(JournalBeforeImage(id));
   }

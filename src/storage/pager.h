@@ -27,10 +27,12 @@
 namespace zdb {
 
 /// Allocates, reads and writes fixed-size pages within a File.
-/// Thread-safe: page transfers, allocation and the free list are guarded
-/// by one internal mutex (misses are rare once the buffer pool is warm,
-/// so the serialization is off the hot path). The I/O counters are
-/// relaxed atomics and may be read concurrently.
+/// Thread-safe: writes, allocation, the free list and the journal are
+/// guarded by one internal mutex. A page read takes it only to check the
+/// id and then reads outside it, so concurrent buffer-pool misses overlap
+/// their reads instead of queueing behind one another (and a read that
+/// goes to the device stalls only the thread that needs the page). The
+/// I/O counters are relaxed atomics and may be read concurrently.
 class Pager {
  public:
   /// Opens a pager over `file`. If the file is empty it is formatted with
@@ -116,6 +118,10 @@ class Pager {
   [[nodiscard]] Status Free(PageId id) EXCLUDES(mu_);
 
   /// Reads page `id` into `buf` (page_size bytes). Counts one page read.
+  /// The read itself runs outside the pager mutex: a read racing a write
+  /// of the same page may see either image or a mix, so callers order
+  /// the two themselves (the buffer pool loads and writes back a page
+  /// under the same shard lock).
   [[nodiscard]] Status ReadPage(PageId id, char* buf) EXCLUDES(mu_);
 
   /// Writes page `id` from `buf`. Counts one page write.
@@ -151,6 +157,9 @@ class Pager {
   Pager(std::unique_ptr<File> file, uint32_t page_size)
       : file_(std::move(file)), page_size_(page_size) {}
 
+  /// InvalidArgument unless `id` names an allocated page.
+  Status CheckPageId(PageId id, const char* op) const REQUIRES(mu_);
+
   /// Unlocked bodies shared by the public entry points (which hold mu_)
   /// and by internal callers that already do.
   Status ReadPageInternal(PageId id, char* buf) REQUIRES(mu_);
@@ -173,9 +182,11 @@ class Pager {
   Status ReplayJournal() REQUIRES(mu_);
 
   mutable Mutex mu_;
-  /// file_/journal_ are set once during Open and only dereferenced under
-  /// mu_ afterwards; the pointers themselves never change post-open.
-  std::unique_ptr<File> file_ PT_GUARDED_BY(mu_);
+  /// file_/journal_ are set once during Open; the pointers never change
+  /// post-open. journal_ is only dereferenced under mu_; file_ is also
+  /// read by ReadPage outside it (File reads are safe concurrently with
+  /// writes, see storage/file.h).
+  std::unique_ptr<File> file_;
   std::unique_ptr<File> journal_ PT_GUARDED_BY(mu_);
   uint32_t page_size_;
   uint32_t page_count_ GUARDED_BY(mu_) = 1;  // page 0 is the header

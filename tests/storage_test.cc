@@ -332,6 +332,65 @@ TEST(BufferPool, SnapshotRefHoldsNoPin) {
   EXPECT_EQ(pool.pinned_pages(), 0u);
 }
 
+TEST(BufferPool, SnapshotMissCachesWhatItRead) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 4);
+  PageVersions versions(512);
+  const SnapshotView view = ViewAt(&versions, 0);
+  PageId id;
+  {
+    auto ref = pool.New().value();
+    id = ref.id();
+    ref.mutable_data()[0] = 'm';
+  }
+  ASSERT_TRUE(pool.Clear().ok());
+  const IoStats before = pager->io_stats();
+  EXPECT_EQ(pool.FetchAt(&view, id).value().data()[0], 'm');
+  EXPECT_EQ(pool.cached_pages(), 1u);
+  EXPECT_EQ(pool.FetchAt(&view, id).value().data()[0], 'm');
+  const IoStats d = pager->io_stats().Since(before);
+  EXPECT_EQ(d.pool_misses, 1u);
+  EXPECT_EQ(d.page_reads, 1u);
+  EXPECT_EQ(d.pool_hits, 1u);
+}
+
+// A snapshot miss reads outside the shard lock. If the page is written
+// back (and dropped) while that read is in flight, the bytes it got may
+// predate the write, so they serve that read only and are not cached.
+TEST(BufferPool, SnapshotMissRacingAWriteBackIsNotCached) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 4);
+  PageVersions versions(512);
+  const SnapshotView view = ViewAt(&versions, 0);
+  PageId id;
+  {
+    auto ref = pool.New().value();
+    id = ref.id();
+    ref.mutable_data()[0] = 'o';
+  }
+  ASSERT_TRUE(pool.Clear().ok());
+
+  pager->set_simulated_read_latency_us(500000);
+  std::atomic<bool> started{false};
+  Status read_status;
+  std::thread reader([&] {
+    started.store(true);
+    read_status = pool.FetchAt(&view, id).status();
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  pager->set_simulated_read_latency_us(0);
+  {
+    auto ref = pool.Fetch(id).value();
+    ref.mutable_data()[0] = 'w';
+  }
+  ASSERT_TRUE(pool.Clear().ok());  // writes the page back and drops it
+  reader.join();
+  ASSERT_TRUE(read_status.ok()) << read_status.ToString();
+  EXPECT_EQ(pool.cached_pages(), 0u);
+  EXPECT_EQ(pool.FetchAt(&view, id).value().data()[0], 'w');
+}
+
 TEST(BufferPool, SnapshotRefOutlivesDeleteAndEviction) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 2);
